@@ -10,8 +10,8 @@ lattices avoiding prescribed negative values.
 from .arith import (Congruence, PrimeSearchSpec, crt, find_prime, gcd_ext,
                     is_prime, jacobi, nonresidue_prime)
 from .binary import (BinaryForm, CFExpansion, PellSolution, binary_roots,
-                     cf_sqrt, infinite_order_isometry, is_anisotropic, mu,
-                     pell_fundamental, representation_witness, represents)
+                     cf_sqrt, is_anisotropic, mu, pell_fundamental,
+                     representation_witness, represents)
 from .construct import (AvoidRootsCertificate, MjCertificate, avoid_roots,
                         mj_family, nv_complements, pell_family,
                         rescaling_family, select_pell_a)
@@ -27,7 +27,7 @@ __all__ = [
     "DiscriminantData", "Lattice", "MjCertificate", "PellSolution",
     "PrimeSearchSpec", "ReflectivityVerdict", "Sublattice", "ToolkitError",
     "avoid_roots", "binary_roots", "cf_sqrt", "crt", "find_prime", "find_roots_in_box",
-    "gcd_ext", "infinite_order_isometry", "is_anisotropic", "is_prime", "is_root",
+    "gcd_ext", "is_anisotropic", "is_prime", "is_root",
     "jacobi", "mj_family", "mu", "nonresidue_prime", "nv_complements",
     "pell_family", "pell_fundamental", "reflect", "reflectivity_indicator",
     "representation_witness", "represents", "rescaling_family",

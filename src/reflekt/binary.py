@@ -19,8 +19,8 @@ from math import gcd, isqrt
 
 from . import lattice as lattice_mod
 from .arith import divisors
-from .errors import (InternalCheckError, InvalidInputError,
-                     IsotropicFormError)
+from .errors import (EffortLimitExceeded, InternalCheckError,
+                     InvalidInputError, IsotropicFormError)
 
 _REDUCE_CAP = 100_000
 _CYCLE_CAP = 10_000_000
@@ -141,16 +141,6 @@ def pell_fundamental(d: int) -> PellSolution:
     raise InternalCheckError(f"unit not found among convergents for d={d}")
 
 
-def infinite_order_isometry(d: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """An integer matrix preserving diag(1, -d) with trace > 2.
-
-    Built from the fundamental unit: M = [[x, d*y], [y, x]].  Trace 2x > 2
-    makes the multiplicative order infinite.
-    """
-    s = pell_fundamental(d)
-    return ((s.x, d * s.y), (s.y, s.x))
-
-
 # -- reduction of indefinite forms (non-square discriminant) ----------------
 
 def _is_reduced(a: int, b: int, c: int, sq: int) -> bool:
@@ -191,7 +181,8 @@ def _reduce_form(form, disc, sq):
             return (a, b, c), m
         (a, b, c), step = _rho(a, b, c, disc, sq)
         m = _mat2_mul(m, step)
-    raise InternalCheckError(f"reduction of {form} did not terminate")
+    raise EffortLimitExceeded(
+        f"reduction of {form} took more than {_REDUCE_CAP} steps")
 
 
 @lru_cache(maxsize=512)
@@ -205,7 +196,8 @@ def _cycle(start):
         out.append(cur)
         cur, _ = _rho(*cur, disc, sq)
         if len(out) > _CYCLE_CAP:
-            raise InternalCheckError(f"cycle through {start} did not close")
+            raise EffortLimitExceeded(
+                f"cycle through {start} is longer than {_CYCLE_CAP} forms")
     return tuple(out)
 
 
@@ -255,19 +247,6 @@ def _represents_primitively(f: BinaryForm, m: int) -> bool:
     return False
 
 
-def _divisors_signed(n: int):
-    n = abs(n)
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            yield d
-            yield -d
-            if d * d != n:
-                yield n // d
-                yield -(n // d)
-        d += 1
-
-
 def _square_disc_solutions(f: BinaryForm, n: int):
     """All integer solutions of f = n for square disc and n != 0 (finite)."""
     a, b, c = f.a, f.b, f.c
@@ -275,14 +254,14 @@ def _square_disc_solutions(f: BinaryForm, n: int):
     out = set()
     if a == 0:
         # f = y (b x + c y)
-        for y in _divisors_signed(n):
+        for y in (s * d for d in divisors(n) for s in (1, -1)):
             rem = n // y - c * y
             if rem % b == 0:
                 out.add((rem // b, y))
         return out
     # 4 a n = (2ax + (b-k) y)(2ax + (b+k) y)
     target = 4 * a * n
-    for u in _divisors_signed(target):
+    for u in (s * d for d in divisors(target) for s in (1, -1)):
         v = target // u
         if (v - u) % (2 * k) != 0:
             continue
@@ -469,13 +448,7 @@ def binary_roots(f: BinaryForm):
     for d in divisors(2 * exponent):
         m = -d
         for v in _primitive_representation_witnesses(f, m):
-            if _is_binary_root(f, m, v):
+            if 2 * lat.divisibility(v) % m == 0:
                 out.append((m, _canonical_witness(f, v)))
                 break
     return tuple(out)
-
-
-def _is_binary_root(f: BinaryForm, m: int, v) -> bool:
-    x, y = v
-    return ((2 * f.a * x + f.b * y) % m == 0
-            and (f.b * x + 2 * f.c * y) % m == 0)

@@ -10,38 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import binary, construct, roots, serialize
-from .errors import InvalidInputError, ToolkitError
+from .arith import DEFAULT_EFFORT_LIMIT
+from .construct import DEFAULT_SEARCH_BOX
+from .errors import ToolkitError
 from .lattice import Sublattice
-
-DEFAULT_SEARCH_BOX = 10
-DEFAULT_EFFORT_LIMIT = 1_000_000
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Run-wide knobs; the bound N has no default on purpose."""
-
-    avoid_bound: int | None = None
-    search_box: int = DEFAULT_SEARCH_BOX
-    effort_limit: int = DEFAULT_EFFORT_LIMIT
-    output_format: str = "text"
-
-    def __post_init__(self):
-        if self.search_box < 1 or self.effort_limit < 1:
-            raise InvalidInputError("search box and effort limit must be positive")
-        if self.avoid_bound is not None and self.avoid_bound < 1:
-            raise InvalidInputError("the bound N must be positive")
-
-
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        avoid_bound=getattr(args, "N", None),
-        search_box=getattr(args, "box", DEFAULT_SEARCH_BOX),
-        effort_limit=getattr(args, "effort_limit", DEFAULT_EFFORT_LIMIT),
-        output_format=args.format)
 
 
 def _parse_vector(s: str):
@@ -167,7 +141,7 @@ def _cmd_binary_roots(args):
 
 
 def _cmd_binary_isometry(args):
-    m = binary.infinite_order_isometry(args.d)
+    m = binary.fundamental_automorph(binary.BinaryForm.from_d(args.d))
     payload = {"matrix": [list(r) for r in m]}
     text = "\n".join(",".join(str(x) for x in r) for r in m)
     _emit(args, payload, text)
@@ -210,8 +184,7 @@ def _cmd_roots_reflectivity(args):
 
 
 def _cmd_construct_avoid_roots(args):
-    cfg = _config_from(args)
-    cert = construct.avoid_roots(args.n, args.b, effort_limit=cfg.effort_limit)
+    cert = construct.avoid_roots(args.n, args.b, effort_limit=args.effort_limit)
     payload = serialize.avoid_roots_to_obj(cert)
     primes = ", ".join(f"p_{k}={p}" for k, p in cert.primes)
     _emit(args, payload, f"a = {cert.a} ({primes}); form x^2 - {cert.a * cert.b} y^2")
@@ -225,12 +198,11 @@ def _cmd_construct_pell_family(args):
 
 
 def _cmd_construct_mj(args):
-    cfg = _config_from(args)
     lat = serialize.load_lattice(args.lattice)
-    cert = construct.mj_family(lat, args.h, cfg.avoid_bound, args.count,
+    cert = construct.mj_family(lat, args.h, args.N, args.count,
                                strategy=args.strategy,
-                               search_box=cfg.search_box,
-                               effort_limit=cfg.effort_limit)
+                               search_box=args.box,
+                               effort_limit=args.effort_limit)
     payload = serialize.mj_to_obj(cert)
     lines = [f"T = {cert.t_index}, threshold = {cert.threshold}, m = {cert.m}"]
     for en in cert.entries:

@@ -24,8 +24,8 @@ from math import gcd, lcm
 
 from . import binary, intlinalg
 from .arith import DEFAULT_EFFORT_LIMIT, nonresidue_prime
-from .errors import (ConstructionError, InternalCheckError,
-                     InvalidInputError)
+from .errors import (ConstructionError, DependentBasisError,
+                     InternalCheckError, InvalidInputError, SpanMismatchError)
 from .lattice import Lattice, Sublattice
 
 DEFAULT_SEARCH_BOX = 10
@@ -61,6 +61,8 @@ def avoid_roots(n: int, b: int, exclude=frozenset(),
     """
     if n < 1 or b < 1:
         raise InvalidInputError("avoid_roots needs n >= 1 and b >= 1")
+    if effort_limit < 1:
+        raise InvalidInputError("effort limit must be positive")
     used = set(exclude)
     primes = []
     for k in range(1, n + 1):
@@ -222,9 +224,7 @@ class MjCertificate:
 
 def _h_complement(ambient: Lattice, h):
     h = ambient._check_vector(h)
-    g = 0
-    for x in h:
-        g = gcd(g, x)
+    g = gcd(*h)
     if g != 1:
         raise InvalidInputError(f"h = {h} must be primitive (content {g})")
     d = ambient.norm(h)
@@ -385,6 +385,8 @@ def mj_family(ambient: Lattice, h, big_n: int, count: int,
     """
     if big_n < 1 or count < 1:
         raise InvalidInputError("mj_family needs N >= 1 and count >= 1")
+    if search_box < 1 or effort_limit < 1:
+        raise InvalidInputError("search box and effort limit must be positive")
     if strategy not in (STRATEGY_PELL, STRATEGY_PRIMES):
         raise InvalidInputError(f"unknown strategy {strategy!r}")
     pos, neg = ambient.signature()
@@ -448,14 +450,9 @@ def _build_entry(ambient, h, d, e_tilde, f_tilde, a, big_n, t_index):
     qu = _pair_frac(ambient.gram, u, u)
     if qu != -2 * d * a:
         raise InternalCheckError(f"q(u_a) = {qu}, expected {-2 * d * a}")
-    m_factor = 1
-    for x in u:
-        m_factor = lcm(m_factor, x.denominator)
+    m_factor = lcm(*(x.denominator for x in u))
     v = tuple(int(x * m_factor) for x in u)
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g != 1:
+    if gcd(*v) != 1:
         raise InternalCheckError(f"v = {v} is imprimitive")
     if ambient.evaluate(v, h) != 0:
         raise InternalCheckError("v does not pair to zero with h")
@@ -485,6 +482,11 @@ def validate_mj(cert: MjCertificate) -> list[str]:
         h, d, comp = _h_complement(cert.ambient, cert.h)
     except InvalidInputError as exc:
         return [str(exc)]
+    r = cert.ambient.rank
+    if len(cert.e) != r or len(cert.f_tilde) != r:
+        return [f"e and f~ must have {r} coordinates"]
+    if cert.m < 1:
+        return [f"m = {cert.m} is not positive"]
     if d != cert.d:
         out.append(f"stored d = {cert.d}, recomputed {d}")
     pos, neg = cert.ambient.signature()
@@ -496,12 +498,10 @@ def validate_mj(cert: MjCertificate) -> list[str]:
     if ecoords is None or any(c.denominator != 1 for c in ecoords):
         out.append("e does not lie in the h-complement")
     else:
-        g = 0
-        for c in ecoords:
-            g = gcd(g, int(c))
-        if g != 1:
+        ecoords = tuple(int(c) for c in ecoords)
+        if gcd(*ecoords) != 1:
             out.append("e is imprimitive in the h-complement")
-        m = comp.as_lattice().divisibility(tuple(int(c) for c in ecoords))
+        m = comp.as_lattice().divisibility(ecoords)
         if m != cert.m:
             out.append(f"stored m = {cert.m}, recomputed {m}")
     e_tilde = tuple(Fraction(x, cert.m) for x in cert.e)
@@ -510,7 +510,7 @@ def validate_mj(cert: MjCertificate) -> list[str]:
     if _pair_frac(cert.ambient.gram, cert.f_tilde, cert.f_tilde) != 0:
         out.append("f~ is not isotropic")
     full = Sublattice(cert.ambient, comp.basis + (h,))
-    ident = Sublattice(cert.ambient, intlinalg.identity(cert.ambient.rank))
+    ident = Sublattice(cert.ambient, intlinalg.identity(r))
     t = full.index_in(ident)
     if t != cert.t_index:
         out.append(f"stored T = {cert.t_index}, recomputed {t}")
@@ -520,6 +520,12 @@ def validate_mj(cert: MjCertificate) -> list[str]:
     prev = 0
     for idx, entry in enumerate(cert.entries):
         tag = f"entry {idx}"
+        if len(entry.u) != r or len(entry.v) != r:
+            out.append(f"{tag}: u and v must have {r} coordinates")
+            continue
+        if entry.m_factor < 1:
+            out.append(f"{tag}: m_factor = {entry.m_factor} is not positive")
+            continue
         expect_u = tuple(et - cert.d * entry.a * ft
                          for et, ft in zip(e_tilde, cert.f_tilde))
         if tuple(entry.u) != expect_u:
@@ -529,24 +535,24 @@ def validate_mj(cert: MjCertificate) -> list[str]:
             out.append(f"{tag}: v != m_factor * u")
         if cert.m % entry.m_factor != 0:
             out.append(f"{tag}: m_factor does not divide m")
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-        if g != 1:
+        if gcd(*v) != 1:
             out.append(f"{tag}: v is imprimitive")
         if cert.ambient.evaluate(v, cert.h) != 0:
             out.append(f"{tag}: (v, h) != 0")
         try:
             span = Sublattice(cert.ambient, (v, cert.h))
             mj = Sublattice(cert.ambient, entry.basis)
-        except Exception as exc:  # malformed basis data
+        except (InvalidInputError, DependentBasisError) as exc:
             out.append(f"{tag}: bad basis ({exc})")
+            continue
+        if mj.rank != 2:
+            out.append(f"{tag}: stored basis does not have rank 2")
             continue
         sat = mj.saturate()
         try:
             if mj.index_in(sat) != 1:
                 out.append(f"{tag}: stored basis is not primitive")
-        except Exception:
+        except SpanMismatchError:
             out.append(f"{tag}: stored basis span mismatch")
         if not mj.contains(cert.h):
             out.append(f"{tag}: h is not in the sublattice")
@@ -554,12 +560,14 @@ def validate_mj(cert: MjCertificate) -> list[str]:
             out.append(f"{tag}: v is not in the sublattice")
         if mj.gram_matrix() != entry.gram:
             out.append(f"{tag}: stored gram disagrees with the basis")
+            continue
+        if intlinalg.det(entry.gram) >= 0:
+            out.append(f"{tag}: gram determinant is not negative")
+            continue
         form = binary.BinaryForm.from_gram(Lattice(entry.gram))
         if not binary.is_anisotropic(form):
             out.append(f"{tag}: gram is isotropic")
             continue
-        if intlinalg.det(entry.gram) >= 0:
-            out.append(f"{tag}: gram determinant is not negative")
         mu_val = binary.mu(form)
         if mu_val != entry.mu:
             out.append(f"{tag}: stored mu = {entry.mu}, recomputed {mu_val}")
@@ -572,11 +580,15 @@ def validate_mj(cert: MjCertificate) -> list[str]:
         for k in range(0, cert.d * cert.big_n + 1):
             if -k in brute:
                 out.append(f"{tag}: brute force found -{k}")
-        idx_val = span.index_in(mj)
-        if idx_val != entry.index:
-            out.append(f"{tag}: stored index {entry.index}, recomputed {idx_val}")
-        if t % idx_val != 0:
-            out.append(f"{tag}: index {idx_val} does not divide T = {t}")
+        try:
+            idx_val = span.index_in(mj)
+        except SpanMismatchError:
+            pass  # v or h lies outside the sublattice, reported above
+        else:
+            if idx_val != entry.index:
+                out.append(f"{tag}: stored index {entry.index}, recomputed {idx_val}")
+            if t % idx_val != 0:
+                out.append(f"{tag}: index {idx_val} does not divide T = {t}")
         qv = cert.ambient.norm(v)
         if qv >= prev:
             out.append(f"{tag}: q(v) = {qv} is not strictly decreasing")

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
+
+from .arith import gcd_ext
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -204,7 +207,7 @@ def hermite_row_basis(mat) -> IntMatrix:
                     piv = top
                 else:
                     a, b = rows[piv][col], rows[i][col]
-                    g, x, y = _xgcd(a, b)
+                    g, x, y = gcd_ext(a, b)
                     p, q = a // g, b // g
                     new_piv = [x * u + y * v for u, v in zip(rows[piv], rows[i])]
                     rows[i] = [-q * u + p * v for u, v in zip(rows[piv], rows[i])]
@@ -219,20 +222,6 @@ def hermite_row_basis(mat) -> IntMatrix:
                 rows[i] = [u - q * v for u, v in zip(rows[i], rows[piv])]
         top += 1
     return tuple(tuple(r) for r in rows[:top] if any(r))
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def kernel(mat) -> IntMatrix:
@@ -358,8 +347,4 @@ def congruence_signature(gram):
 
 def content(rows) -> int:
     """gcd of all entries."""
-    g = 0
-    for row in rows:
-        for x in row:
-            g = gcd(g, x)
-    return g
+    return gcd(*chain.from_iterable(rows))

@@ -122,102 +122,28 @@ class Lattice:
         v = self._check_vector(v)
         if all(x == 0 for x in v):
             raise InvalidInputError("divisibility of the zero vector is undefined")
-        g = 0
-        for p in intlinalg.mat_vec(self.gram, v):
-            g = gcd(g, p)
-        return g
+        return gcd(*intlinalg.mat_vec(self.gram, v))
 
     # -- bounded enumeration -------------------------------------------------
 
-    def enumerate_norm_vectors(self, n: int, box: int) -> tuple[tuple[int, ...], ...]:
-        """All primitive v with q(v) = n and coordinates in [-box, box].
+    def _walk_prefixes(self, box: int, finish) -> None:
+        """Call finish(coords, val, pair, leading_zero) once per prefix.
 
-        Complete within the box, deduplicated up to global sign (first
-        nonzero coordinate positive).  Nothing is claimed outside the box.
-        The last coordinate is solved from a quadratic instead of scanned,
-        so the cost is (2*box+1)**(rank-1) subproblems.
+        A prefix fixes the first rank-1 coordinates in [-box, box], walked
+        in lexicographic order with the first nonzero coordinate positive;
+        an all-zero prefix (leading_zero) leaves the sign to the last
+        coordinate.  coords is a shared list holding the prefix, val its
+        norm and pair its pairing with the last basis vector.
         """
         if box < 1:
             raise InvalidInputError("box must be >= 1")
         r = self.rank
         g = self.gram
-        found = []
         coords = [0] * r
 
-        def emit(last, leading_zero):
-            # canonical sign: with an all-zero prefix the last entry must be > 0
-            if leading_zero and last <= 0:
-                return
-            if not -box <= last <= box:
-                return
-            coords[r - 1] = last
-            gc = 0
-            for x in coords:
-                gc = gcd(gc, x)
-            if gc == 1:
-                found.append(tuple(coords))
-
-        def solve_last(val, pair_last, leading_zero):
-            # q(prefix + t*e_r) = a t^2 + b t + c + n with the values below
-            a = g[r - 1][r - 1]
-            b = 2 * pair_last
-            c = val - n
-            if a == 0:
-                if b == 0:
-                    if c == 0:
-                        for t in range(1 if leading_zero else -box, box + 1):
-                            emit(t, leading_zero)
-                    return
-                if c % b == 0:
-                    emit(-c // b, leading_zero)
-                return
-            disc = b * b - 4 * a * c
-            if disc < 0:
-                return
-            s = isqrt(disc)
-            if s * s != disc:
-                return
-            for num in {-b + s, -b - s}:
-                if num % (2 * a) == 0:
-                    emit(num // (2 * a), leading_zero)
-
-        def rec(depth, val, pair_last, leading_zero):
+        def rec(depth, val, pair, leading_zero):
             if depth == r - 1:
-                solve_last(val, pair_last, leading_zero)
-                return
-            for x in range(0 if leading_zero else -box, box + 1):
-                coords[depth] = x
-                nv = val + g[depth][depth] * x * x
-                if x and depth:
-                    s = 0
-                    for i in range(depth):
-                        s += g[i][depth] * coords[i]
-                    nv += 2 * x * s
-                rec(depth + 1, nv, pair_last + g[depth][r - 1] * x,
-                    leading_zero and x == 0)
-
-        if r == 1:
-            # the only primitive vectors are +-(1)
-            if n == g[0][0]:
-                found.append((1,))
-        else:
-            rec(0, 0, 0, True)
-        return tuple(sorted(set(found)))
-
-    def box_vectors(self, box: int) -> list[tuple[tuple[int, ...], int]]:
-        """All (v, q(v)) with nonzero v, coordinates in [-box, box], one
-        vector per sign class (first nonzero coordinate positive)."""
-        if box < 1:
-            raise InvalidInputError("box must be >= 1")
-        r = self.rank
-        g = self.gram
-        coords = [0] * r
-        out = []
-
-        def rec(depth, val, leading_zero):
-            if depth == r:
-                if not leading_zero:
-                    out.append((tuple(coords), val))
+                finish(coords, val, pair, leading_zero)
                 return
             for x in range(0 if leading_zero else -box, box + 1):
                 coords[depth] = x
@@ -228,9 +154,72 @@ class Lattice:
                     for i in range(depth):
                         s += g[i][depth] * coords[i]
                     nv += 2 * x * s
-                rec(depth + 1, nv, leading_zero and x == 0)
+                rec(depth + 1, nv, pair + g[depth][r - 1] * x,
+                    leading_zero and x == 0)
 
-        rec(0, 0, True)
+        rec(0, 0, 0, True)
+
+    def enumerate_norm_vectors(self, n: int, box: int) -> tuple[tuple[int, ...], ...]:
+        """All primitive v with q(v) = n and coordinates in [-box, box].
+
+        Complete within the box, deduplicated up to global sign (first
+        nonzero coordinate positive).  Nothing is claimed outside the box.
+        The last coordinate is solved from a quadratic instead of scanned,
+        so the cost is (2*box+1)**(rank-1) subproblems.
+        """
+        r = self.rank
+        a = self.gram[r - 1][r - 1]
+        found = []
+
+        def emit(coords, last, leading_zero):
+            # canonical sign: with an all-zero prefix the last entry must be > 0
+            if leading_zero and last <= 0:
+                return
+            if not -box <= last <= box:
+                return
+            coords[r - 1] = last
+            if gcd(*coords) == 1:
+                found.append(tuple(coords))
+
+        def solve_last(coords, val, pair, leading_zero):
+            # q(prefix + t*e_r) = a t^2 + b t + c + n with the values below
+            b = 2 * pair
+            c = val - n
+            if a == 0:
+                if b == 0:
+                    if c == 0:
+                        for t in range(1 if leading_zero else -box, box + 1):
+                            emit(coords, t, leading_zero)
+                    return
+                if c % b == 0:
+                    emit(coords, -c // b, leading_zero)
+                return
+            disc = b * b - 4 * a * c
+            if disc < 0:
+                return
+            s = isqrt(disc)
+            if s * s != disc:
+                return
+            for num in {-b + s, -b - s}:
+                if num % (2 * a) == 0:
+                    emit(coords, num // (2 * a), leading_zero)
+
+        self._walk_prefixes(box, solve_last)
+        return tuple(sorted(set(found)))
+
+    def box_vectors(self, box: int) -> list[tuple[tuple[int, ...], int]]:
+        """All (v, q(v)) with nonzero v, coordinates in [-box, box], one
+        vector per sign class (first nonzero coordinate positive), in
+        lexicographic order."""
+        a = self.gram[-1][-1]
+        out = []
+
+        def scan_last(coords, val, pair, leading_zero):
+            prefix = tuple(coords[:-1])
+            for t in range(1 if leading_zero else -box, box + 1):
+                out.append((prefix + (t,), val + (a * t + 2 * pair) * t))
+
+        self._walk_prefixes(box, scan_last)
         return out
 
 

@@ -31,9 +31,7 @@ def is_root(lat: Lattice, v) -> bool:
     v must be a primitive lattice vector with q(v) != 0.
     """
     v = lat._check_vector(v)
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     if g == 0:
         raise InvalidInputError("the zero vector is not a candidate root")
     if g != 1:
@@ -41,9 +39,7 @@ def is_root(lat: Lattice, v) -> bool:
     q = lat.norm(v)
     if q == 0:
         raise InvalidInputError(f"candidate root {v} is isotropic")
-    row = [sum(lat.gram[i][j] * v[j] for j in range(lat.rank))
-           for i in range(lat.rank)]
-    return all((2 * p) % q == 0 for p in row)
+    return 2 * lat.divisibility(v) % q == 0
 
 
 def reflect(lat: Lattice, v, u):
@@ -71,20 +67,9 @@ def find_roots_in_box(lat: Lattice, box: int) -> tuple[tuple[int, ...], ...]:
 
     Complete within the box only.
     """
-    out = []
-    for v, q in lat.box_vectors(box):
-        if q >= 0:
-            continue
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-        if g != 1:
-            continue
-        row = [sum(lat.gram[i][j] * v[j] for j in range(lat.rank))
-               for i in range(lat.rank)]
-        if all((2 * p) % q == 0 for p in row):
-            out.append(v)
-    return tuple(sorted(out))
+    return tuple(sorted(v for v, q in lat.box_vectors(box)
+                        if q < 0 and gcd(*v) == 1
+                        and 2 * lat.divisibility(v) % q == 0))
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,18 @@
 All numbers are integers or exact rationals rendered as strings like
 "3/2"; nothing is ever a float.  Serialization is deterministic (sorted
 keys, fixed indentation) so identical objects produce identical bytes.
+
+Each certificate kind is one table mapping JSON keys to attributes and
+codecs.  The same table drives encoding and decoding, and decoding rejects
+every value of the wrong JSON type (a float or a boolean is never read as
+an integer) with CertificateError.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import binary, construct
 from .errors import CertificateError
@@ -21,39 +27,118 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+# -- codecs -------------------------------------------------------------------
+
+class _Codec(NamedTuple):
+    """One value to its JSON form and back; decode raises CertificateError."""
+
+    encode: Callable
+    decode: Callable
+
+
+def _integer(x) -> int:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise CertificateError(f"expected an integer, got {x!r}")
+    return x
+
+
 def frac_to_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
 def frac_from_str(s) -> Fraction:
+    if not isinstance(s, str):
+        raise CertificateError(f'expected a rational string like "3/2", got {s!r}')
     try:
-        return Fraction(str(s))
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise CertificateError(f"bad rational value {s!r}: {exc}") from None
 
 
-def frac_vec_to_obj(v):
-    return [frac_to_str(x) for x in v]
+def _vector(item: _Codec, length: int | None = None) -> _Codec:
+    def decode(obj):
+        if not isinstance(obj, list) or length not in (None, len(obj)):
+            size = "" if length is None else f" of length {length}"
+            raise CertificateError(f"expected a list{size}, got {obj!r}")
+        return tuple(item.decode(x) for x in obj)
+
+    return _Codec(lambda v: [item.encode(x) for x in v], decode)
 
 
-def frac_vec_from_obj(obj):
-    return tuple(frac_from_str(x) for x in obj)
+def _choice(*options: str) -> _Codec:
+    def decode(x):
+        if not isinstance(x, str) or x not in options:
+            raise CertificateError(f"expected one of {list(options)}, got {x!r}")
+        return x
 
+    return _Codec(lambda x: x, decode)
+
+
+_INT = _Codec(lambda x: x, _integer)
+_INT_VEC = _vector(_INT)
+_INT_MAT = _vector(_INT_VEC)
+_FRAC_VEC = _vector(_Codec(frac_to_str, frac_from_str))
+_INT_TRIPLE = _vector(_INT, 3)
+_FORM = _Codec(lambda f: [f.a, f.b, f.c],
+              lambda obj: binary.BinaryForm(*_INT_TRIPLE.decode(obj)))
+
+
+def _record(build: Callable, fields: dict, rename: dict | None = None,
+            values: Callable = vars) -> _Codec:
+    """A JSON object: each key goes through its codec to one attribute.
+
+    Decoding calls build(**attributes); encoding reads values(obj), a
+    mapping from attribute names.  rename maps a JSON key to its attribute
+    where the two differ.
+    """
+    rename = rename or {}
+
+    def encode(obj) -> dict:
+        vals = values(obj)
+        return {key: codec.encode(vals[rename.get(key, key)])
+                for key, codec in fields.items()}
+
+    def decode(obj):
+        if not isinstance(obj, dict):
+            raise CertificateError(f"expected an object, got {obj!r}")
+        attrs = {}
+        for key, codec in fields.items():
+            if key not in obj:
+                raise CertificateError(f"missing key {key!r}")
+            try:
+                attrs[rename.get(key, key)] = codec.decode(obj[key])
+            except CertificateError as exc:
+                raise CertificateError(f"{key}: {exc}") from None
+        return build(**attrs)
+
+    return _Codec(encode, decode)
+
+
+def _tuple_record(fields: dict) -> _Codec:
+    """A record held as a plain tuple of its values, in field order."""
+    return _record(lambda **attrs: tuple(attrs.values()), fields,
+                   values=lambda t: dict(zip(fields, t)))
+
+
+# -- lattices -----------------------------------------------------------------
 
 def lattice_to_obj(lat: Lattice) -> dict:
-    return {"gram": [list(row) for row in lat.gram]}
+    return {"gram": _INT_MAT.encode(lat.gram)}
 
 
 def lattice_from_obj(obj) -> Lattice:
     if not isinstance(obj, dict) or "gram" not in obj:
         raise CertificateError('lattice object must be {"gram": [[...]]}')
-    gram = obj["gram"]
-    if (not isinstance(gram, list) or not gram
-            or any(not isinstance(row, list) for row in gram)
-            or any(not isinstance(x, int) or isinstance(x, bool)
-                   for row in gram for x in row)):
+    try:
+        gram = _INT_MAT.decode(obj["gram"])
+    except CertificateError:
+        gram = None
+    if not gram:
         raise CertificateError("gram must be a nonempty matrix of integers")
-    return Lattice(tuple(tuple(row) for row in gram))
+    return Lattice(gram)
+
+
+_LATTICE = _Codec(lattice_to_obj, lattice_from_obj)
 
 
 def load_lattice(path: str) -> Lattice:
@@ -67,143 +152,81 @@ def load_lattice(path: str) -> Lattice:
 
 # -- certificates -------------------------------------------------------------
 
+_MJ_ENTRY = _record(construct.MjEntry, {
+    "a": _INT, "u": _FRAC_VEC, "m_factor": _INT, "v": _INT_VEC,
+    "basis": _INT_MAT, "gram": _INT_MAT, "mu": _INT, "index": _INT})
+
+_NV_ENTRY = _record(construct.NvComplementEntry, {
+    "h": _INT_VEC, "basis": _INT_MAT, "gram": _INT_MAT,
+    "fingerprint": _tuple_record({"rank": _INT, "det": _INT,
+                                  "invariant_factors": _INT_VEC,
+                                  "signature": _INT_VEC}),
+    "fingerprint_class": _INT})
+
+# kind -> (record, validator returning the list of failures)
+_KINDS = {
+    "avoid_roots": (_record(construct.AvoidRootsCertificate, {
+        "n": _INT, "b": _INT, "primes": _vector(_vector(_INT, 2)), "a": _INT,
+        "form": _FORM}), construct.validate_avoid_roots),
+    "pell_family": (_record(construct.PellFamilyCertificate, {
+        "a": _INT, "d": _INT, "mu": _INT, "witness": _vector(_INT, 2)}),
+        construct.validate_pell_family),
+    "mj_family": (_record(construct.MjCertificate, {
+        "ambient": _LATTICE, "h": _INT_VEC, "d": _INT, "N": _INT,
+        "strategy": _choice(construct.STRATEGY_PELL, construct.STRATEGY_PRIMES),
+        "threshold": _INT, "e": _INT_VEC, "m": _INT, "f_tilde": _FRAC_VEC, "T": _INT,
+        "entries": _vector(_MJ_ENTRY)}, rename={"N": "big_n", "T": "t_index"}),
+        construct.validate_mj),
+    # held as the tuple (lattice, d, box, entries): validate_nv's arguments
+    "nv_complements": (_tuple_record({
+        "lattice": _LATTICE, "d": _INT, "box": _INT, "entries": _vector(_NV_ENTRY)}),
+        lambda args: construct.validate_nv(*args)),
+}
+
+
+def _to_obj(kind: str, cert) -> dict:
+    return {"format": FORMAT_TAG, "kind": kind, **_KINDS[kind][0].encode(cert)}
+
+
+def _from_obj(kind: str, obj):
+    try:
+        return _KINDS[kind][0].decode(obj)
+    except CertificateError as exc:
+        raise CertificateError(f"malformed {kind} certificate: {exc}") from None
+
+
 def avoid_roots_to_obj(cert: construct.AvoidRootsCertificate) -> dict:
-    return {
-        "format": FORMAT_TAG,
-        "kind": "avoid_roots",
-        "n": cert.n,
-        "b": cert.b,
-        "primes": [[k, p] for k, p in cert.primes],
-        "a": cert.a,
-        "form": [cert.form.a, cert.form.b, cert.form.c],
-    }
+    return _to_obj("avoid_roots", cert)
 
 
 def avoid_roots_from_obj(obj) -> construct.AvoidRootsCertificate:
-    try:
-        return construct.AvoidRootsCertificate(
-            n=obj["n"], b=obj["b"],
-            primes=tuple((int(k), int(p)) for k, p in obj["primes"]),
-            a=obj["a"],
-            form=binary.BinaryForm(*obj["form"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CertificateError(f"malformed avoid_roots certificate: {exc}") from None
+    return _from_obj("avoid_roots", obj)
 
 
 def pell_family_to_obj(cert: construct.PellFamilyCertificate) -> dict:
-    return {
-        "format": FORMAT_TAG,
-        "kind": "pell_family",
-        "a": cert.a,
-        "d": cert.d,
-        "mu": cert.mu,
-        "witness": list(cert.witness),
-    }
+    return _to_obj("pell_family", cert)
 
 
 def pell_family_from_obj(obj) -> construct.PellFamilyCertificate:
-    try:
-        return construct.PellFamilyCertificate(
-            a=obj["a"], d=obj["d"], mu=obj["mu"],
-            witness=tuple(int(x) for x in obj["witness"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CertificateError(f"malformed pell_family certificate: {exc}") from None
+    return _from_obj("pell_family", obj)
 
 
 def mj_to_obj(cert: construct.MjCertificate) -> dict:
-    return {
-        "format": FORMAT_TAG,
-        "kind": "mj_family",
-        "ambient": lattice_to_obj(cert.ambient),
-        "h": list(cert.h),
-        "d": cert.d,
-        "N": cert.big_n,
-        "strategy": cert.strategy,
-        "threshold": cert.threshold,
-        "e": list(cert.e),
-        "m": cert.m,
-        "f_tilde": frac_vec_to_obj(cert.f_tilde),
-        "T": cert.t_index,
-        "entries": [{
-            "a": en.a,
-            "u": frac_vec_to_obj(en.u),
-            "m_factor": en.m_factor,
-            "v": list(en.v),
-            "basis": [list(row) for row in en.basis],
-            "gram": [list(row) for row in en.gram],
-            "mu": en.mu,
-            "index": en.index,
-        } for en in cert.entries],
-    }
+    return _to_obj("mj_family", cert)
 
 
 def mj_from_obj(obj) -> construct.MjCertificate:
-    try:
-        entries = tuple(construct.MjEntry(
-            a=en["a"],
-            u=frac_vec_from_obj(en["u"]),
-            m_factor=en["m_factor"],
-            v=tuple(int(x) for x in en["v"]),
-            basis=tuple(tuple(int(x) for x in row) for row in en["basis"]),
-            gram=tuple(tuple(int(x) for x in row) for row in en["gram"]),
-            mu=en["mu"],
-            index=en["index"],
-        ) for en in obj["entries"])
-        return construct.MjCertificate(
-            ambient=lattice_from_obj(obj["ambient"]),
-            h=tuple(int(x) for x in obj["h"]),
-            d=obj["d"],
-            big_n=obj["N"],
-            strategy=obj["strategy"],
-            threshold=obj["threshold"],
-            e=tuple(int(x) for x in obj["e"]),
-            m=obj["m"],
-            f_tilde=frac_vec_from_obj(obj["f_tilde"]),
-            t_index=obj["T"],
-            entries=entries)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CertificateError(f"malformed mj_family certificate: {exc}") from None
+    return _from_obj("mj_family", obj)
 
 
 def nv_to_obj(lat: Lattice, d: int, box: int,
               entries: tuple[construct.NvComplementEntry, ...]) -> dict:
-    return {
-        "format": FORMAT_TAG,
-        "kind": "nv_complements",
-        "lattice": lattice_to_obj(lat),
-        "d": d,
-        "box": box,
-        "entries": [{
-            "h": list(en.h),
-            "basis": [list(row) for row in en.basis],
-            "gram": [list(row) for row in en.gram],
-            "fingerprint": {
-                "rank": en.fingerprint[0],
-                "det": en.fingerprint[1],
-                "invariant_factors": list(en.fingerprint[2]),
-                "signature": list(en.fingerprint[3]),
-            },
-            "fingerprint_class": en.fingerprint_class,
-        } for en in entries],
-    }
+    return _to_obj("nv_complements", (lat, d, box, entries))
 
 
 def nv_from_obj(obj):
-    try:
-        lat = lattice_from_obj(obj["lattice"])
-        entries = tuple(construct.NvComplementEntry(
-            h=tuple(int(x) for x in en["h"]),
-            basis=tuple(tuple(int(x) for x in row) for row in en["basis"]),
-            gram=tuple(tuple(int(x) for x in row) for row in en["gram"]),
-            fingerprint=(en["fingerprint"]["rank"],
-                         en["fingerprint"]["det"],
-                         tuple(en["fingerprint"]["invariant_factors"]),
-                         tuple(en["fingerprint"]["signature"])),
-            fingerprint_class=en["fingerprint_class"],
-        ) for en in obj["entries"])
-        return lat, obj["d"], obj["box"], entries
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CertificateError(f"malformed nv_complements certificate: {exc}") from None
+    """(lattice, d, box, entries) of an nv_complements certificate."""
+    return _from_obj("nv_complements", obj)
 
 
 def verify_certificate_obj(obj) -> list[str]:
@@ -214,12 +237,6 @@ def verify_certificate_obj(obj) -> list[str]:
         raise CertificateError(
             f"unsupported format tag {obj.get('format')!r}; expected {FORMAT_TAG!r}")
     kind = obj.get("kind")
-    if kind == "avoid_roots":
-        return construct.validate_avoid_roots(avoid_roots_from_obj(obj))
-    if kind == "pell_family":
-        return construct.validate_pell_family(pell_family_from_obj(obj))
-    if kind == "mj_family":
-        return construct.validate_mj(mj_from_obj(obj))
-    if kind == "nv_complements":
-        return construct.validate_nv(*nv_from_obj(obj))
-    raise CertificateError(f"unknown certificate kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise CertificateError(f"unknown certificate kind {kind!r}")
+    return _KINDS[kind][1](_from_obj(kind, obj))

@@ -82,6 +82,21 @@ def brute_roots(lat, box):
     return out
 
 
+def box_vectors_oracle(gram, box):
+    """(v, q(v)) for each nonzero v in [-box, box]^rank whose first nonzero
+    coordinate is positive, in itertools.product (lexicographic) order."""
+    import itertools
+    r = len(gram)
+    out = []
+    for v in itertools.product(range(-box, box + 1), repeat=r):
+        first = next((x for x in v if x != 0), 0)
+        if first <= 0:
+            continue
+        q = sum(gram[i][j] * v[i] * v[j] for i in range(r) for j in range(r))
+        out.append((v, q))
+    return out
+
+
 def charpoly_signature(gram):
     """Signature via characteristic polynomial signs (Descartes' rule).
 

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import brute_values, representation_oracle_values
 from reflekt import binary as b
-from reflekt.errors import InvalidInputError, IsotropicFormError
+from reflekt.errors import (EffortLimitExceeded, InvalidInputError,
+                            IsotropicFormError)
 
 NONSQUARE = [d for d in range(2, 201) if not b.is_square(d)]
 
@@ -95,12 +96,12 @@ class TestPell:
                 assert r * r != t, (d, y)
 
     def test_isometry_examples(self):
-        assert b.infinite_order_isometry(8) == ((3, 8), (1, 3))
-        assert b.infinite_order_isometry(2) == ((3, 4), (2, 3))
+        assert b.fundamental_automorph(b.BinaryForm.from_d(8)) == ((3, 8), (1, 3))
+        assert b.fundamental_automorph(b.BinaryForm.from_d(2)) == ((3, 4), (2, 3))
 
     def test_isometry_preserves_form_and_powers(self):
         for d in (2, 8, 13, 61):
-            m = b.infinite_order_isometry(d)
+            m = b.fundamental_automorph(b.BinaryForm.from_d(d))
             g = ((1, 0), (0, -d))
             assert m[0][0] + m[1][1] > 2
             cur = ((1, 0), (0, 1))
@@ -354,3 +355,25 @@ class TestBinaryRoots:
 
     def test_rootless_example(self):
         assert b.binary_roots(b.BinaryForm(3, 8, -7)) == ()
+
+
+class TestBudgets:
+    """Overflowing a reduction or cycle cap is a budget, not a bug."""
+
+    def test_cycle_cap(self, monkeypatch):
+        b._cycle.cache_clear()
+        monkeypatch.setattr(b, "_CYCLE_CAP", 2)
+        try:
+            with pytest.raises(EffortLimitExceeded):
+                b.mu(b.BinaryForm.from_d(94))
+        finally:
+            b._cycle.cache_clear()
+
+    def test_reduce_cap(self, monkeypatch):
+        b._cycle.cache_clear()
+        monkeypatch.setattr(b, "_REDUCE_CAP", 1)
+        try:
+            with pytest.raises(EffortLimitExceeded):
+                b.represents(b.BinaryForm.from_d(7), -3)
+        finally:
+            b._cycle.cache_clear()

@@ -162,6 +162,36 @@ class TestConstructAndVerify:
         assert code == 0
         assert obj["entries"][0]["h"] == [1, 1]
 
+    @pytest.mark.parametrize("flags", [("--N", "0"), ("--N", "2", "--box", "0"),
+                                       ("--N", "2", "--effort-limit", "0")])
+    def test_nonpositive_knobs_are_domain_errors(self, capsys, u3_file, flags):
+        code, out = run(capsys, "--format", "json", "construct", "mj",
+                        "--lattice", u3_file, "--h", "1,1,0,0,0,0",
+                        "--count", "1", *flags)
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "InvalidInputError"
+
+    def test_avoid_roots_rejects_zero_effort_limit(self, capsys):
+        code, out = run(capsys, "--format", "json", "--effort-limit", "0",
+                        "construct", "avoid-roots", "-n", "2", "-b", "1")
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "InvalidInputError"
+
+    def test_isometry_of_square_d_is_isotropic_error(self, capsys):
+        code, out = run(capsys, "--format", "json", "binary", "isometry", "-D", "9")
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "IsotropicFormError"
+
+    def test_verify_rejects_non_integer_field(self, capsys, tmp_path):
+        code, obj = run_json(capsys, "construct", "pell-family", "-a", "5")
+        obj["a"] = "x"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, out = run(capsys, "--format", "json", "verify", str(path))
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"]["type"] == "CertificateError"
+
     def test_missing_n_is_usage_error(self, u3_file):
         with pytest.raises(SystemExit) as exc:
             main(["construct", "mj", "--lattice", u3_file,

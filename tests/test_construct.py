@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,36 @@ class TestMjFamily:
             assert not binary.represents(form, -1)
             assert not binary.represents(form, -2)
         assert c.validate_mj(cert) == []
+
+
+class TestValidateMjMalformed:
+    """Tampered data is reported as failures, not raised."""
+
+    @pytest.fixture(scope="class")
+    def cert(self):
+        return c.mj_family(U3, H, 2, 1)
+
+    def test_dependent_basis_rows(self, cert):
+        e = cert.entries[0]
+        bad = replace(cert, entries=(replace(e, basis=(H, tuple(2 * x for x in H))),))
+        failures = c.validate_mj(bad)
+        assert any("bad basis" in f for f in failures)
+
+    def test_short_f_tilde(self, cert):
+        failures = c.validate_mj(replace(cert, f_tilde=cert.f_tilde[:-1]))
+        assert failures == ["e and f~ must have 6 coordinates"]
+
+    def test_short_entry_vectors(self, cert):
+        e = cert.entries[0]
+        for bad_entry in (replace(e, v=e.v[:-1]), replace(e, u=e.u[:-1])):
+            failures = c.validate_mj(replace(cert, entries=(bad_entry,)))
+            assert failures == ["entry 0: u and v must have 6 coordinates"]
+
+    def test_nonpositive_m_and_m_factor(self, cert):
+        assert c.validate_mj(replace(cert, m=0)) == ["m = 0 is not positive"]
+        e = cert.entries[0]
+        failures = c.validate_mj(replace(cert, entries=(replace(e, m_factor=0),)))
+        assert failures == ["entry 0: m_factor = 0 is not positive"]
 
 
 class TestNvComplements:

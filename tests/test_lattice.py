@@ -1,10 +1,11 @@
 import itertools
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import U, charpoly_signature, diag, dsum
+from conftest import U, box_vectors_oracle, charpoly_signature, diag, dsum
 from reflekt.errors import (DegenerateLatticeError, DependentBasisError,
                             InvalidInputError, SpanMismatchError)
 from reflekt.lattice import Lattice, Sublattice
@@ -254,3 +255,28 @@ class TestEnumerateNormVectors:
         assert diag(4).enumerate_norm_vectors(4, 3) == ((1,),)
         assert diag(4).enumerate_norm_vectors(16, 3) == ()  # (2,) imprimitive
         assert diag(-3).enumerate_norm_vectors(-3, 2) == ((1,),)
+
+
+class TestBoxWalker:
+    """box_vectors and enumerate_norm_vectors share one prefix walker."""
+
+    @given(sym_int_matrices(n_max=5, entry=4), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_product_oracle(self, gram, box):
+        try:
+            lat = Lattice(gram)
+        except DegenerateLatticeError:
+            return
+        want = box_vectors_oracle(gram, box)
+        # same order and norms, one vector per sign class
+        assert lat.box_vectors(box) == want
+        assert len(want) == ((2 * box + 1) ** lat.rank - 1) // 2
+        for n in {q for _, q in want[::max(1, len(want) // 4)]} | {0}:
+            primitive = tuple(sorted(v for v, q in want if q == n and gcd(*v) == 1))
+            assert lat.enumerate_norm_vectors(n, box) == primitive
+
+    def test_rejects_empty_box(self):
+        with pytest.raises(InvalidInputError):
+            U.box_vectors(0)
+        with pytest.raises(InvalidInputError):
+            U.enumerate_norm_vectors(0, 0)
