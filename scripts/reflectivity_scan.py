@@ -9,7 +9,6 @@ rootless examples only show up in the second sweep.
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -18,15 +17,7 @@ from reflekt import binary, roots
 from reflekt.lattice import Lattice
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    d_min: int = 2
-    d_max: int = 100
-    grid: int = 8
-    only_rootless: bool = False
-
-
-def scan_diagonal(cfg: ScanConfig):
+def scan_diagonal(cfg: argparse.Namespace):
     print(f"== diagonal family x^2 - D y^2, D = {cfg.d_min}..{cfg.d_max}")
     for d in range(cfg.d_min, cfg.d_max + 1):
         if binary.is_square(d):
@@ -38,7 +29,7 @@ def scan_diagonal(cfg: ScanConfig):
         print(f"D={d:4d}  mu={mu:5d}  root norms: {norms}")
 
 
-def scan_grid(cfg: ScanConfig):
+def scan_grid(cfg: argparse.Namespace):
     print(f"== gram grid [[a,b],[b,c]], entries up to {cfg.grid}")
     rootless = 0
     for a in range(1, cfg.grid + 1):
@@ -70,11 +61,9 @@ def main():
     ap.add_argument("--only-rootless", action="store_true",
                     help="in the grid sweep, print only non-reflective hits")
     args = ap.parse_args()
-    cfg = ScanConfig(d_min=args.d_min, d_max=args.d_max, grid=args.grid,
-                     only_rootless=args.only_rootless)
-    scan_diagonal(cfg)
+    scan_diagonal(args)
     print()
-    scan_grid(cfg)
+    scan_grid(args)
 
 
 if __name__ == "__main__":

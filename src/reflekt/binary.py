@@ -4,10 +4,15 @@ complete decision procedures for representation, mu, and root norms.
 The representation decision follows classical reduction theory.  For a
 non-square discriminant D and a target m with 4m^2 < D, m is primitively
 represented iff it occurs as a leading coefficient in the cycle of reduced
-forms; for larger |m| the decision enumerates square roots of D modulo
-4|m| and tests proper equivalence of the resulting forms against the
-cycle.  Square discriminants are handled by factoring the product of the
-two linear forms.  Imprimitive representations reduce to n/t^2.
+forms.  For larger |m| one class search answers every question: each
+square root b of D modulo 4|m| gives a form (m, b, c), and m is primitively
+represented iff one of them reduces into the cycle of f; the reducing
+matrices turn those classes into witnesses.  Square discriminants are
+handled by factoring the product of the two linear forms.  Imprimitive
+representations of n are primitive ones of n/t^2, taken over the square
+parts of n.  Hence the largest negative represented value mu is always
+represented primitively (t^2 m represented implies m represented, and m
+is closer to 0), so mu needs only the primitive test.
 """
 
 from __future__ import annotations
@@ -216,35 +221,43 @@ def _sqrt_classes_mod(disc, m):
 
 # -- representation decision -------------------------------------------------
 
+def _square_parts(n: int):
+    """(t, n / t^2) for every t >= 1 with t^2 | n, in increasing t."""
+    t = 1
+    while t * t <= abs(n):
+        if n % (t * t) == 0:
+            yield t, n // (t * t)
+        t += 1
+
+
 def represents(f: BinaryForm, n: int) -> bool:
     """Complete decision: does f(x, y) = n have a nonzero integer solution?"""
     disc = f.disc
     if n == 0:
         return is_square(disc)
     if is_square(disc):
-        return _represents_square_disc(f, n)
-    t = 1
-    while t * t <= abs(n):
-        if n % (t * t) == 0 and _represents_primitively(f, n // (t * t)):
-            return True
-        t += 1
-    return False
+        return bool(_square_disc_solutions(f, n))
+    return any(_represents_primitively(f, m) for _, m in _square_parts(n))
+
+
+def _classes(f: BinaryForm, m: int):
+    """The class search: (reduced, M) with (m, b, c)∘M = reduced for each square
+    root b of D mod 4|m| whose form reduces into f's cycle (non-square D, m != 0)."""
+    disc = f.disc
+    sq = isqrt(disc)
+    cycset = set(_cycle_of(f))
+    for b in _sqrt_classes_mod(disc, m):
+        c = (b * b - disc) // (4 * m)
+        reduced, q = _reduce_form((m, b, c), disc, sq)
+        if reduced in cycset:
+            yield reduced, q
 
 
 def _represents_primitively(f: BinaryForm, m: int) -> bool:
     """Primitive representation decision for non-square discriminant, m != 0."""
-    disc = f.disc
-    cyc = _cycle_of(f)
-    if 4 * m * m < disc:
-        return any(g[0] == m for g in cyc)
-    sq = isqrt(disc)
-    cycset = set(cyc)
-    for b in _sqrt_classes_mod(disc, m):
-        c = (b * b - disc) // (4 * m)
-        reduced, _ = _reduce_form((m, b, c), disc, sq)
-        if reduced in cycset:
-            return True
-    return False
+    if 4 * m * m < f.disc:
+        return any(g[0] == m for g in _cycle_of(f))
+    return next(_classes(f, m), None) is not None
 
 
 def _square_disc_solutions(f: BinaryForm, n: int):
@@ -273,10 +286,6 @@ def _square_disc_solutions(f: BinaryForm, n: int):
     return out
 
 
-def _represents_square_disc(f: BinaryForm, n: int) -> bool:
-    return bool(_square_disc_solutions(f, n))
-
-
 def representation_witness(f: BinaryForm, n: int):
     """A vector (x, y) with f(x, y) = n, or None.
 
@@ -300,12 +309,9 @@ def representation_witness(f: BinaryForm, n: int):
     if is_square(disc):
         sols = _square_disc_solutions(f, n)
         return min(sols) if sols else None
-    t = 1
-    while t * t <= abs(n):
-        if n % (t * t) == 0:
-            for v in _primitive_representation_witnesses(f, n // (t * t)):
-                return (t * v[0], t * v[1])
-        t += 1
+    for t, m in _square_parts(n):
+        for v in _primitive_representation_witnesses(f, m):
+            return (t * v[0], t * v[1])
     return None
 
 
@@ -315,21 +321,20 @@ def mu(f: BinaryForm) -> int:
     Defined for anisotropic indefinite forms only; for isotropic binary
     forms the maximum need not exist, so those are rejected.  The cycle of
     reduced forms supplies a represented negative value, which bounds the
-    downward search.
+    downward search; the value found is represented primitively (see the
+    module docstring), so only the primitive test runs.
     """
     if not is_anisotropic(f):
         raise IsotropicFormError(
             "mu is undefined for isotropic forms in this toolkit")
-    cyc = _cycle_of(f)
-    floor_val = max(g[0] for g in cyc if g[0] < 0)
+    floor_val = max(g[0] for g in _cycle_of(f) if g[0] < 0)
     m = -1
-    while True:
-        if represents(f, m):
-            return m
+    while not _represents_primitively(f, m):
         m -= 1
         if m < floor_val:
             raise InternalCheckError(
                 f"mu search passed the attained cycle value {floor_val}")
+    return m
 
 
 # -- automorphs and root norms ----------------------------------------------
@@ -413,24 +418,19 @@ def _primitive_representation_witnesses(f: BinaryForm, m: int):
         return out
     sq = isqrt(disc)
     f_red, p = _reduce_form((f.a, f.b, f.c), disc, sq)
-    for b in _sqrt_classes_mod(disc, m):
-        c = (b * b - disc) // (4 * m)
-        g_red, q = _reduce_form((m, b, c), disc, sq)
+    for g_red, q in _classes(f, m):
+        # walk f's cycle from f_red to g_red, which _classes put on it
         r = _ID2
         cur = f_red
-        while True:
-            if cur == g_red:
-                tot = _mat2_mul(_mat2_mul(p, r), _mat2_inv_unimodular(q))
-                v = (tot[0][0], tot[1][0])
-                if f.value(*v) != m or gcd(v[0], v[1]) != 1:
-                    raise InternalCheckError(
-                        f"transform produced a bad witness {v} for {m}")
-                out.append(v)
-                break
+        while cur != g_red:
             cur, step = _rho(*cur, disc, sq)
             r = _mat2_mul(r, step)
-            if cur == f_red:
-                break  # not equivalent: this class does not meet f
+        tot = _mat2_mul(_mat2_mul(p, r), _mat2_inv_unimodular(q))
+        v = (tot[0][0], tot[1][0])
+        if f.value(*v) != m or gcd(v[0], v[1]) != 1:
+            raise InternalCheckError(
+                f"transform produced a bad witness {v} for {m}")
+        out.append(v)
     return out
 
 

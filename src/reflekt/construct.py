@@ -23,7 +23,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import binary, intlinalg
-from .arith import DEFAULT_EFFORT_LIMIT, nonresidue_prime
+from .arith import (DEFAULT_EFFORT_LIMIT, DETERMINISTIC_PRIMALITY_BOUND,
+                    is_prime, jacobi, nonresidue_prime)
 from .errors import (ConstructionError, DependentBasisError,
                      InternalCheckError, InvalidInputError, SpanMismatchError)
 from .lattice import Lattice, Sublattice
@@ -33,6 +34,23 @@ DEFAULT_CANDIDATE_CAP = 10_000
 
 STRATEGY_PELL = "pell"
 STRATEGY_PRIMES = "primes"
+
+
+def _validated(validate, cert):
+    """cert, once validate(cert) reports no failure; a failure is a bug."""
+    failures = validate(cert)
+    if failures:
+        raise InternalCheckError(
+            "freshly built certificate failed validation: " + "; ".join(failures))
+    return cert
+
+
+def _brute_force_hits(a, b, c, bound):
+    """Every k in 0..bound with a x^2 + b xy + c y^2 = -k for some nonzero
+    (x, y) with |x|, |y| <= 50, ascending: an oracle independent of `binary`."""
+    vals = {a * x * x + b * x * y + c * y * y
+            for x in range(-50, 51) for y in range(-50, 51) if x or y}
+    return sorted(-v for v in vals if -bound <= v <= 0)
 
 
 # -- avoid-roots construction -------------------------------------------------
@@ -46,10 +64,6 @@ class AvoidRootsCertificate:
     primes: tuple[tuple[int, int], ...]  # (k, p_k)
     a: int
     form: binary.BinaryForm
-
-    @property
-    def product_ab(self) -> int:
-        return self.a * self.b
 
 
 def avoid_roots(n: int, b: int, exclude=frozenset(),
@@ -73,66 +87,61 @@ def avoid_roots(n: int, b: int, exclude=frozenset(),
     a = 1
     for _, p in primes:
         a *= p
-    cert = AvoidRootsCertificate(
+    return _validated(validate_avoid_roots, AvoidRootsCertificate(
         n=n, b=b, primes=tuple(primes), a=a,
-        form=binary.BinaryForm.from_d(a * b))
-    failures = validate_avoid_roots(cert)
-    if failures:
-        raise InternalCheckError(
-            "freshly built certificate failed validation: " + "; ".join(failures))
-    return cert
+        form=binary.BinaryForm.from_d(a * b)))
 
 
 def validate_avoid_roots(cert: AvoidRootsCertificate) -> list[str]:
-    """Re-run every invariant from scratch; returns a list of failures."""
-    from .arith import is_prime, jacobi
+    """Re-run every invariant from scratch; returns a list of failures.
 
+    Work is bounded by the size of the certificate, never by a stored
+    integer: the complete decision runs for k = 0..n only once the prime
+    list covers 1..n and the stored form is (1, 0, -ab).
+    """
     out = []
     if cert.n < 1 or cert.b < 1:
         out.append("n and b must be positive")
     ks = [k for k, _ in cert.primes]
     ps = [p for _, p in cert.primes]
-    if ks != list(range(1, cert.n + 1)):
+    covered = len(ks) == cert.n and ks == list(range(1, cert.n + 1))
+    if not covered:
         out.append(f"prime list must cover k = 1..{cert.n}")
     if len(set(ps)) != len(ps):
         out.append("primes are not distinct")
     prod = 1
     for k, p in cert.primes:
         prod *= p
-        if not is_prime(p):
-            out.append(f"{p} is not prime")
+        in_range = 0 < p < DETERMINISTIC_PRIMALITY_BOUND
+        prime = in_range and is_prime(p)
+        if not prime:
+            out.append(f"{p} is not prime" if in_range
+                       else f"{p} is not a prime below 2^64")
         if p <= cert.b:
             out.append(f"prime {p} is not greater than b = {cert.b}")
-        if p % 2 == 1 and jacobi(-k, p) != -1:
+        if not prime:
+            continue
+        if p != 2 and jacobi(-k, p) != -1:
             out.append(f"-{k} is a quadratic residue mod {p}")
-        # the direct contract, independent of the symbol machinery
-        if any((x * x + k) % p == 0 for x in range(p // 2 + 1)):
+        # the direct contract, independent of the symbol machinery: Euler's
+        # criterion, exact for a prime p; -k is a square mod 2 for every k
+        if p == 2 or pow(-k, (p - 1) // 2, p) != p - 1:
             out.append(f"direct check found x with x^2 = -{k} mod {p}")
     if prod != cert.a:
         out.append(f"a = {cert.a} is not the product of the primes")
     ab = cert.a * cert.b
     if binary.is_square(ab):
         out.append(f"ab = {ab} is a square; the form is isotropic")
-    if (cert.form.a, cert.form.b, cert.form.c) != (1, 0, -ab):
+    form_ok = (cert.form.a, cert.form.b, cert.form.c) == (1, 0, -ab)
+    if not form_ok:
         out.append("certificate form does not match (1, 0, -ab)")
-    for k in range(0, cert.n + 1):
-        if binary.represents(cert.form, -k):
-            out.append(f"form represents -{k}")
-    # independent brute-force oracle
-    hits = _brute_force_values(1, 0, -ab, 50)
-    for k in range(0, cert.n + 1):
-        if -k in hits:
-            out.append(f"brute force found a representation of -{k}")
+    if covered and form_ok:
+        for k in range(0, cert.n + 1):
+            if binary.represents(cert.form, -k):
+                out.append(f"form represents -{k}")
+    for k in _brute_force_hits(1, 0, -ab, cert.n):
+        out.append(f"brute force found a representation of -{k}")
     return out
-
-
-def _brute_force_values(a, b, c, box):
-    vals = set()
-    for x in range(-box, box + 1):
-        for y in range(-box, box + 1):
-            if x or y:
-                vals.add(a * x * x + b * x * y + c * y * y)
-    return vals
 
 
 # -- Pell (a^2 - 1) family ----------------------------------------------------
@@ -153,18 +162,8 @@ def pell_family(a: int) -> PellFamilyCertificate:
     """
     if a < 2:
         raise InvalidInputError(f"pell_family needs a >= 2, got {a}")
-    d = a * a - 1
-    expected = 2 - 2 * a
-    witness = (a - 1, 1)
-    form = binary.BinaryForm.from_d(d)
-    if form.value(*witness) != expected:
-        raise InternalCheckError("witness norm disagrees with 2 - 2a")
-    computed = binary.mu(form)
-    if computed != expected:
-        raise InternalCheckError(
-            f"mu(x^2 - {d} y^2) = {computed}, expected {expected}; "
-            "this contradicts the continued-fraction analysis")
-    return PellFamilyCertificate(a=a, d=d, mu=expected, witness=witness)
+    return _validated(validate_pell_family, PellFamilyCertificate(
+        a=a, d=a * a - 1, mu=2 - 2 * a, witness=(a - 1, 1)))
 
 
 def validate_pell_family(cert: PellFamilyCertificate) -> list[str]:
@@ -174,6 +173,7 @@ def validate_pell_family(cert: PellFamilyCertificate) -> list[str]:
         return out
     if cert.d != cert.a ** 2 - 1:
         out.append(f"d = {cert.d} is not a^2 - 1")
+        return out
     if cert.mu != 2 - 2 * cert.a:
         out.append(f"mu = {cert.mu} is not 2 - 2a")
     form = binary.BinaryForm.from_d(cert.d)
@@ -371,7 +371,6 @@ def _odd_norm_kernel_vector(gram, e_tilde, basis, search_box: int):
 
 def mj_family(ambient: Lattice, h, big_n: int, count: int,
               strategy: str = STRATEGY_PELL, search_box: int = DEFAULT_SEARCH_BOX,
-              candidate_cap: int = DEFAULT_CANDIDATE_CAP,
               effort_limit: int = DEFAULT_EFFORT_LIMIT) -> MjCertificate:
     """Binary anisotropic sublattices through h missing all of [-d*N, -1].
 
@@ -413,9 +412,9 @@ def mj_family(ambient: Lattice, h, big_n: int, count: int,
     tried = 0
     while len(entries) < count:
         tried += 1
-        if tried > candidate_cap:
+        if tried > DEFAULT_CANDIDATE_CAP:
             raise ConstructionError(
-                f"no acceptable candidate within {candidate_cap} attempts")
+                f"no acceptable candidate within {DEFAULT_CANDIDATE_CAP} attempts")
         if strategy == STRATEGY_PELL:
             a = (select_pell_a(threshold) if a is None else a + 1)
         else:
@@ -433,15 +432,10 @@ def mj_family(ambient: Lattice, h, big_n: int, count: int,
         prev_norm = norm_v
         entries.append(entry)
 
-    cert = MjCertificate(
+    return _validated(validate_mj, MjCertificate(
         ambient=ambient, h=h, d=d, big_n=big_n, strategy=strategy,
         threshold=threshold, e=tuple(e_ambient), m=m, f_tilde=f_tilde,
-        t_index=t_index, entries=tuple(entries))
-    failures = validate_mj(cert)
-    if failures:
-        raise InternalCheckError(
-            "freshly built certificate failed validation: " + "; ".join(failures))
-    return cert
+        t_index=t_index, entries=tuple(entries)))
 
 
 def _build_entry(ambient, h, d, e_tilde, f_tilde, a, big_n, t_index):
@@ -501,9 +495,10 @@ def validate_mj(cert: MjCertificate) -> list[str]:
         ecoords = tuple(int(c) for c in ecoords)
         if gcd(*ecoords) != 1:
             out.append("e is imprimitive in the h-complement")
-        m = comp.as_lattice().divisibility(ecoords)
-        if m != cert.m:
-            out.append(f"stored m = {cert.m}, recomputed {m}")
+        if any(ecoords):  # the zero vector has no divisibility
+            m = comp.as_lattice().divisibility(ecoords)
+            if m != cert.m:
+                out.append(f"stored m = {cert.m}, recomputed {m}")
     e_tilde = tuple(Fraction(x, cert.m) for x in cert.e)
     if _pair_frac(cert.ambient.gram, e_tilde, cert.f_tilde) != 1:
         out.append("(e~, f~) != 1")
@@ -571,15 +566,11 @@ def validate_mj(cert: MjCertificate) -> list[str]:
         mu_val = binary.mu(form)
         if mu_val != entry.mu:
             out.append(f"{tag}: stored mu = {entry.mu}, recomputed {mu_val}")
+        # mu is the complete decision for all of -1..-d*N at once
         if mu_val >= -cert.d * cert.big_n:
             out.append(f"{tag}: mu = {mu_val} is not below {-cert.d * cert.big_n}")
-        for k in range(1, cert.d * cert.big_n + 1):
-            if binary.represents(form, -k):
-                out.append(f"{tag}: form represents -{k}")
-        brute = _brute_force_values(form.a, form.b, form.c, 50)
-        for k in range(0, cert.d * cert.big_n + 1):
-            if -k in brute:
-                out.append(f"{tag}: brute force found -{k}")
+        for k in _brute_force_hits(form.a, form.b, form.c, cert.d * cert.big_n):
+            out.append(f"{tag}: brute force found -{k}")
         try:
             idx_val = span.index_in(mj)
         except SpanMismatchError:

@@ -8,8 +8,8 @@ from conftest import U, brute_values, diag, dsum
 from reflekt import binary, serialize
 from reflekt import construct as c
 from reflekt.arith import is_prime, jacobi
-from reflekt.errors import (CertificateError, InvalidInputError,
-                            ToolkitError)
+from reflekt.errors import (CertificateError, InternalCheckError,
+                            InvalidInputError, ToolkitError)
 from reflekt.lattice import Lattice, Sublattice
 
 U3 = dsum(U, U, U)
@@ -209,6 +209,24 @@ class TestValidateMjMalformed:
         e = cert.entries[0]
         failures = c.validate_mj(replace(cert, entries=(replace(e, m_factor=0),)))
         assert failures == ["entry 0: m_factor = 0 is not positive"]
+
+
+class TestBuildersValidate:
+    """Every builder ends in its validator, looked up on the module at call
+    time, and turns any reported failure into InternalCheckError."""
+
+    @pytest.mark.parametrize("validator,build", [
+        ("validate_avoid_roots", lambda: c.avoid_roots(2, 1)),
+        ("validate_pell_family", lambda: c.pell_family(5)),
+        ("validate_mj", lambda: c.mj_family(U3, H, 1, 1)),
+    ])
+    def test_failure_is_internal_check_error(self, monkeypatch, validator, build):
+        seen = []
+        monkeypatch.setattr(c, validator, lambda cert: seen.append(cert) or ["boom"])
+        with pytest.raises(InternalCheckError,
+                           match="freshly built certificate failed validation: boom"):
+            build()
+        assert len(seen) == 1
 
 
 class TestNvComplements:
