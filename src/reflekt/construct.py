@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 from . import binary, intlinalg
 from .arith import (DEFAULT_EFFORT_LIMIT, DETERMINISTIC_PRIMALITY_BOUND,
-                    is_prime, jacobi, nonresidue_prime)
+                    gcd_ext, is_nonresidue, is_prime, jacobi, nonresidue_prime)
 from .errors import (ConstructionError, DependentBasisError,
                      InternalCheckError, InvalidInputError, SpanMismatchError)
 from .lattice import Lattice, Sublattice
@@ -45,12 +46,17 @@ def _validated(validate, cert):
     return cert
 
 
-def _brute_force_hits(a, b, c, bound):
-    """Every k in 0..bound with a x^2 + b xy + c y^2 = -k for some nonzero
-    (x, y) with |x|, |y| <= 50, ascending: an oracle independent of `binary`."""
+def _brute_force_failures(a, b, c, bound):
+    """The k in 0..bound with a x^2 + b xy + c y^2 = -k for some nonzero
+    (x, y) with |x|, |y| <= 50, as at most one failure line giving their
+    count and the smallest: an oracle independent of `binary`."""
     vals = {a * x * x + b * x * y + c * y * y
             for x in range(-50, 51) for y in range(-50, 51) if x or y}
-    return sorted(-v for v in vals if -bound <= v <= 0)
+    hits = [-v for v in vals if -bound <= v <= 0]
+    if not hits:
+        return []
+    return [f"brute force found -k represented for {len(hits)} k in "
+            f"0..{bound}, the smallest k = {min(hits)}"]
 
 
 # -- avoid-roots construction -------------------------------------------------
@@ -123,9 +129,8 @@ def validate_avoid_roots(cert: AvoidRootsCertificate) -> list[str]:
             continue
         if p != 2 and jacobi(-k, p) != -1:
             out.append(f"-{k} is a quadratic residue mod {p}")
-        # the direct contract, independent of the symbol machinery: Euler's
-        # criterion, exact for a prime p; -k is a square mod 2 for every k
-        if p == 2 or pow(-k, (p - 1) // 2, p) != p - 1:
+        # the direct contract, independent of the symbol machinery
+        if not is_nonresidue(-k, p):
             out.append(f"direct check found x with x^2 = -{k} mod {p}")
     if prod != cert.a:
         out.append(f"a = {cert.a} is not the product of the primes")
@@ -139,8 +144,7 @@ def validate_avoid_roots(cert: AvoidRootsCertificate) -> list[str]:
         for k in range(0, cert.n + 1):
             if binary.represents(cert.form, -k):
                 out.append(f"form represents -{k}")
-    for k in _brute_force_hits(1, 0, -ab, cert.n):
-        out.append(f"brute force found a representation of -{k}")
+    out += _brute_force_failures(1, 0, -ab, cert.n)
     return out
 
 
@@ -223,6 +227,7 @@ class MjCertificate:
 
 
 def _h_complement(ambient: Lattice, h):
+    """(h, d = q(h), the h-complement, T = [ambient : complement + Zh])."""
     h = ambient._check_vector(h)
     g = gcd(*h)
     if g != 1:
@@ -231,11 +236,9 @@ def _h_complement(ambient: Lattice, h):
     if d <= 0:
         raise InvalidInputError(f"h must have positive norm, got q(h) = {d}")
     comp = Sublattice(ambient, (h,)).orthogonal_complement()
-    return h, d, comp
-
-
-def _frac_vec(v):
-    return tuple(Fraction(x) for x in v)
+    t_index = Sublattice(ambient, comp.basis + (h,)).index_in(
+        Sublattice(ambient, intlinalg.identity(ambient.rank)))
+    return h, d, comp, t_index
 
 
 def _pair_frac(gram, u, v):
@@ -265,108 +268,57 @@ def _find_isotropic(comp: Sublattice, search_box: int):
         "raise the search box")
 
 
-def _integral_lattice_basis(comp: Sublattice, e_ambient, m: int):
-    """Basis (rational ambient rows) of the span of the complement and e/m."""
-    scaled = [tuple(m * x for x in row) for row in comp.basis]
-    scaled.append(tuple(e_ambient))
-    span = intlinalg.row_span_basis(tuple(scaled))
-    return tuple(tuple(Fraction(x, m) for x in row) for row in span)
+def _isotropic_partner(gram, comp: Sublattice, e, m: int):
+    """Isotropic f~ with (e~, f~) = 1 in the overlattice spanned by the
+    complement and e~ = e/m, as a Fraction ambient vector.
 
-
-def _solve_unit_pairing(gram, e_tilde, basis):
-    """x in the spanned lattice with (e_tilde, x) = 1, via extended gcd."""
-    from .arith import gcd_ext
-
-    pairings = []
-    for row in basis:
-        p = _pair_frac(gram, e_tilde, row)
-        if p.denominator != 1:
-            raise InternalCheckError("pairing with e~ is not integral")
-        pairings.append(int(p))
-    g, coeffs = 0, [0] * len(pairings)
-    for i, p in enumerate(pairings):
-        gg, x, y = gcd_ext(g, p)
-        coeffs = [c * x for c in coeffs]
-        coeffs[i] = y
-        g = gg
-    if g != 1:
-        raise InternalCheckError(
-            f"pairing ideal of e~ is {g}Z, expected Z")
-    x = [Fraction(0)] * len(basis[0])
-    for c, row in zip(coeffs, basis):
-        for i in range(len(x)):
-            x[i] += c * row[i]
-    return tuple(x)
-
-
-def _make_isotropic_partner(gram, e_tilde, basis, search_box: int):
-    """Isotropic f~ in the spanned lattice with (e~, f~) = 1.
-
-    Start from any solution of the pairing equation; subtracting
-    (q(x)/2) e~ kills the norm when q(x) is even, otherwise the solution
-    is shifted by small kernel vectors of odd norm until the parity works.
+    The search runs in the overlattice's integer coordinates: the rows of
+    span / m form its basis, so its Gram matrix is span G span^T / m^2.  An
+    extended-gcd chain gives x with (e~, x) = 1, and f~ = x - (q(x)/2) e~
+    once q(x) is even.  On an integral lattice q(x + y) = q(x) + q(y) +
+    2(x, y), so the norm mod 2 is additive: a vector orthogonal to e~ of
+    odd norm exists iff some basis row of that kernel has odd norm, and
+    then a sum of rows with coefficients in {-1, 0, 1} has it.  If none
+    does, every x with (e~, x) = 1 has odd norm and no partner exists.
     """
-    x = _solve_unit_pairing(gram, e_tilde, basis)
-    qx = _pair_frac(gram, x, x)
-    if qx.denominator != 1:
-        raise InternalCheckError("q(x) is not integral on the spanned lattice")
-    if int(qx) % 2 != 0:
-        shift = _odd_norm_kernel_vector(gram, e_tilde, basis, search_box)
-        if shift is None:
+    span = intlinalg.row_span_basis(
+        tuple(tuple(m * x for x in row) for row in comp.basis) + (tuple(e),))
+    sg = intlinalg.mat_mul(span, gram)
+    over = intlinalg.mat_mul(sg, intlinalg.transpose(span))
+    pairings = intlinalg.mat_vec(sg, e)
+    mm = m * m
+    if any(x % mm for x in pairings) or any(x % mm for row in over for x in row):
+        raise InternalCheckError("overlattice is not integral")
+    over = tuple(tuple(x // mm for x in row) for row in over)
+    pairings = tuple(x // mm for x in pairings)
+
+    def norm(c):
+        return sum(a * b for a, b in zip(c, intlinalg.mat_vec(over, c)))
+
+    g, x = 0, [0] * len(pairings)
+    for i, p in enumerate(pairings):
+        g, s, t = gcd_ext(g, p)
+        x = [c * s for c in x]
+        x[i] = t
+    if g != 1:
+        raise InternalCheckError(f"pairing ideal of e~ is {g}Z, expected Z")
+    if norm(x) % 2:
+        kern = intlinalg.kernel((pairings,))
+        shifts = (intlinalg.mat_vec(intlinalg.transpose(kern), c)
+                  for c in product((-1, 0, 1), repeat=len(kern)))
+        w = next((w for w in shifts if norm(w) % 2), None)
+        if w is None:
             raise ConstructionError(
-                "no isotropic partner: every candidate norm has odd parity "
-                f"within coefficient box {search_box}")
-        x = tuple(a + b for a, b in zip(x, shift))
-        qx = _pair_frac(gram, x, x)
-    half = int(qx) // 2
-    f_tilde = tuple(a - half * b for a, b in zip(x, _frac_vec(e_tilde)))
+                "no isotropic partner: no vector orthogonal to e~ has odd norm")
+        x = [a + b for a, b in zip(x, w)]
+    half = norm(x) // 2
+    f_tilde = tuple(Fraction(a - half * b, m) for a, b in
+                    zip(intlinalg.mat_vec(intlinalg.transpose(span), x), e))
     if _pair_frac(gram, f_tilde, f_tilde) != 0:
         raise InternalCheckError("partner vector is not isotropic")
-    if _pair_frac(gram, _frac_vec(e_tilde), f_tilde) != 1:
+    if _pair_frac(gram, e, f_tilde) != m:
         raise InternalCheckError("partner vector does not pair to 1 with e~")
     return f_tilde
-
-
-def _odd_norm_kernel_vector(gram, e_tilde, basis, search_box: int):
-    """A vector w with (e~, w) = 0 and q(w) odd, as a Fraction ambient vector."""
-    pairings = []
-    for row in basis:
-        pairings.append(int(_pair_frac(gram, _frac_vec(e_tilde), row)))
-    kern = intlinalg.kernel((tuple(pairings),))
-    rank = len(kern)
-    if rank == 0:
-        return None
-    coords = [0] * rank
-
-    def assemble():
-        w = [Fraction(0)] * len(basis[0])
-        for c, krow in zip(coords, kern):
-            if c:
-                for brow, k in zip(basis, krow):
-                    if k:
-                        for i in range(len(w)):
-                            w[i] += c * k * brow[i]
-        return tuple(w)
-
-    for box in range(1, search_box + 1):
-        def rec(depth):
-            if depth == rank:
-                w = assemble()
-                qw = _pair_frac(gram, w, w)
-                if qw.denominator == 1 and int(qw) % 2 == 1:
-                    return w
-                return None
-            for c in range(-box, box + 1):
-                coords[depth] = c
-                got = rec(depth + 1)
-                if got is not None:
-                    return got
-            return None
-
-        got = rec(0)
-        if got is not None:
-            return got
-    return None
 
 
 def mj_family(ambient: Lattice, h, big_n: int, count: int,
@@ -392,18 +344,13 @@ def mj_family(ambient: Lattice, h, big_n: int, count: int,
     if pos != 3 or ambient.rank < 6:
         raise InvalidInputError(
             f"wrong signature: need (3, r-3) with r >= 6, got ({pos},{neg})")
-    h, d, comp = _h_complement(ambient, h)
-
-    full = Sublattice(ambient, comp.basis + (h,))
-    ident = Sublattice(ambient, intlinalg.identity(ambient.rank))
-    t_index = full.index_in(ident)
+    h, d, comp, t_index = _h_complement(ambient, h)
     threshold = big_n * t_index * t_index
 
     e_ambient, e_coeffs = _find_isotropic(comp, search_box)
     m = comp.as_lattice().divisibility(e_coeffs)
     e_tilde = tuple(Fraction(x, m) for x in e_ambient)
-    overbasis = _integral_lattice_basis(comp, e_ambient, m)
-    f_tilde = _make_isotropic_partner(ambient.gram, e_tilde, overbasis, search_box)
+    f_tilde = _isotropic_partner(ambient.gram, comp, e_ambient, m)
 
     entries = []
     a = None
@@ -473,7 +420,7 @@ def validate_mj(cert: MjCertificate) -> list[str]:
     """Re-run all certificate invariants from scratch."""
     out = []
     try:
-        h, d, comp = _h_complement(cert.ambient, cert.h)
+        _, d, comp, t = _h_complement(cert.ambient, cert.h)
     except InvalidInputError as exc:
         return [str(exc)]
     r = cert.ambient.rank
@@ -504,9 +451,6 @@ def validate_mj(cert: MjCertificate) -> list[str]:
         out.append("(e~, f~) != 1")
     if _pair_frac(cert.ambient.gram, cert.f_tilde, cert.f_tilde) != 0:
         out.append("f~ is not isotropic")
-    full = Sublattice(cert.ambient, comp.basis + (h,))
-    ident = Sublattice(cert.ambient, intlinalg.identity(r))
-    t = full.index_in(ident)
     if t != cert.t_index:
         out.append(f"stored T = {cert.t_index}, recomputed {t}")
     if cert.threshold != cert.big_n * t * t:
@@ -569,8 +513,8 @@ def validate_mj(cert: MjCertificate) -> list[str]:
         # mu is the complete decision for all of -1..-d*N at once
         if mu_val >= -cert.d * cert.big_n:
             out.append(f"{tag}: mu = {mu_val} is not below {-cert.d * cert.big_n}")
-        for k in _brute_force_hits(form.a, form.b, form.c, cert.d * cert.big_n):
-            out.append(f"{tag}: brute force found -{k}")
+        out += [f"{tag}: {line}" for line in _brute_force_failures(
+            form.a, form.b, form.c, cert.d * cert.big_n)]
         try:
             idx_val = span.index_in(mj)
         except SpanMismatchError:

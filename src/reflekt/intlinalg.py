@@ -11,14 +11,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
+from operator import index
 
 from .arith import gcd_ext
+from .errors import InvalidInputError
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
+def int_vector(v) -> tuple[int, ...]:
+    """v as a tuple of exact integers; anything else is InvalidInputError.
+
+    operator.index accepts int (and bool) only, so 2.5, Fraction(1, 2) and
+    "1" are rejected instead of being truncated or parsed.
+    """
+    try:
+        return tuple(index(x) for x in v)
+    except TypeError:
+        raise InvalidInputError(
+            f"expected integer entries, got {list(v)!r}") from None
+
+
 def freeze(rows) -> IntMatrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(int_vector(row) for row in rows)
 
 
 def identity(n: int) -> IntMatrix:

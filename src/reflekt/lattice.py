@@ -8,7 +8,6 @@ exact: unbounded integers and rationals, no floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, isqrt
 
 from . import intlinalg
@@ -76,7 +75,7 @@ class Lattice:
         if len(v) != self.rank:
             raise InvalidInputError(
                 f"vector length {len(v)} does not match rank {self.rank}")
-        return tuple(int(x) for x in v)
+        return intlinalg.int_vector(v)
 
     def evaluate(self, u, v) -> int:
         """The bilinear pairing (u, v)."""
@@ -94,7 +93,10 @@ class Lattice:
 
     def signature(self) -> tuple[int, int]:
         """(positive, negative) inertia counts, by exact rational diagonalization."""
-        return _signature_cached(self.gram)
+        pos, neg, zero = intlinalg.congruence_signature(self.gram)
+        if zero:
+            raise DegenerateLatticeError("signature of a degenerate form")
+        return pos, neg
 
     def discriminant(self) -> DiscriminantData:
         """Invariant factors of coker(gram), exponent, and group order."""
@@ -221,14 +223,6 @@ class Lattice:
 
         self._walk_prefixes(box, scan_last)
         return out
-
-
-@lru_cache(maxsize=None)
-def _signature_cached(gram):
-    pos, neg, zero = intlinalg.congruence_signature(gram)
-    if zero:
-        raise DegenerateLatticeError("signature of a degenerate form")
-    return pos, neg
 
 
 @dataclass(frozen=True)

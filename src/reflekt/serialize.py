@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import binary, construct
-from .errors import CertificateError
+from .errors import CertificateError, DegenerateLatticeError, InvalidInputError
 from .lattice import Lattice
 
 FORMAT_TAG = "reflekt/1"
@@ -107,7 +107,10 @@ def _record(build: Callable, fields: dict, rename: dict | None = None,
                 raise CertificateError(f"missing key {key!r}")
             try:
                 attrs[rename.get(key, key)] = codec.decode(obj[key])
-            except CertificateError as exc:
+            except (CertificateError, InvalidInputError,
+                    DegenerateLatticeError) as exc:
+                # a constructor's rejection (a definite form, an asymmetric
+                # or singular gram) is a malformed field
                 raise CertificateError(f"{key}: {exc}") from None
         return build(**attrs)
 

@@ -6,6 +6,7 @@ divisor scans.  Where a test compares shipped output against an oracle,
 the oracle is the ground truth.
 """
 
+import itertools
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -58,7 +59,6 @@ def brute_values(a, b, c, box):
 
 def brute_roots(lat, box):
     """Negative-norm roots by direct scan, canonical sign, no shipped helpers."""
-    import itertools
     r = lat.rank
     out = set()
     for coords in itertools.product(range(-box, box + 1), repeat=r):
@@ -85,7 +85,6 @@ def brute_roots(lat, box):
 def box_vectors_oracle(gram, box):
     """(v, q(v)) for each nonzero v in [-box, box]^rank whose first nonzero
     coordinate is positive, in itertools.product (lexicographic) order."""
-    import itertools
     r = len(gram)
     out = []
     for v in itertools.product(range(-box, box + 1), repeat=r):
@@ -151,3 +150,63 @@ def representation_oracle_values(d, bound):
                 vals.add(v)
             x += 1
     return vals
+
+
+def isotropic_partner_oracle(gram, comp, e, m, box=2):
+    """Isotropic f~ with (e/m, f~) = 1 by the Fraction box search that
+    construct used before its parity argument, with coefficient boxes 1..box.
+
+    The overlattice basis is the Hermite basis of m*comp + Ze, divided by
+    m.  x solves the unit pairing by an extended-gcd chain; an odd q(x) is
+    fixed by the lexicographically first kernel combination of odd norm
+    in the smallest box that has one.  Raises ConstructionError when no
+    box up to `box` has one.
+    """
+    from reflekt import intlinalg
+    from reflekt.arith import gcd_ext
+    from reflekt.errors import ConstructionError, InternalCheckError
+
+    def pair(u, v):
+        return sum(u[i] * gram[i][j] * v[j]
+                   for i in range(len(u)) for j in range(len(v)))
+
+    scaled = tuple(tuple(m * x for x in row) for row in comp.basis) + (tuple(e),)
+    basis = [tuple(Fraction(x, m) for x in row)
+             for row in intlinalg.row_span_basis(scaled)]
+    e_tilde = tuple(Fraction(x, m) for x in e)
+    pairings = []
+    for row in basis:
+        p = pair(e_tilde, row)
+        if p.denominator != 1:
+            raise InternalCheckError("pairing with e~ is not integral")
+        pairings.append(int(p))
+    g, coeffs = 0, [0] * len(pairings)
+    for i, p in enumerate(pairings):
+        g, s, t = gcd_ext(g, p)
+        coeffs = [c * s for c in coeffs]
+        coeffs[i] = t
+    if g != 1:
+        raise InternalCheckError(f"pairing ideal of e~ is {g}Z, expected Z")
+
+    def combine(cs, rows):
+        return tuple(sum((c * row[i] for c, row in zip(cs, rows)), Fraction(0))
+                     for i in range(len(rows[0])))
+
+    x = combine(coeffs, basis)
+    if pair(x, x) % 2:
+        kern = intlinalg.kernel((tuple(pairings),))
+        kern_vectors = [combine(k, basis) for k in kern]
+        shift = None
+        for b in range(1, box + 1):
+            for cs in itertools.product(range(-b, b + 1), repeat=len(kern)):
+                w = combine(cs, kern_vectors) if kern else (Fraction(0),) * len(x)
+                if pair(w, w) % 2 == 1:
+                    shift = w
+                    break
+            if shift is not None:
+                break
+        if shift is None:
+            raise ConstructionError("no odd-norm kernel vector in the box")
+        x = tuple(a + b for a, b in zip(x, shift))
+    half = int(pair(x, x)) // 2
+    return tuple(a - half * b for a, b in zip(x, e_tilde))

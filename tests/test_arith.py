@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reflekt.arith import (Congruence, PrimeSearchSpec, crt, divisors,
-                           find_prime, gcd_ext, is_prime, jacobi,
+                           find_prime, gcd_ext, is_nonresidue, is_prime, jacobi,
                            nonresidue_prime, smallest_nonresidue)
 from reflekt.errors import EffortLimitExceeded, InvalidInputError
 
@@ -147,6 +147,13 @@ class TestFindPrime:
         spec = PrimeSearchSpec((Congruence(7, 8),), minimum=2)
         with pytest.raises(EffortLimitExceeded):
             find_prime(spec, effort_limit=0)
+
+
+@pytest.mark.parametrize("p", [2] + SMALL_ODD_PRIMES)
+def test_is_nonresidue_matches_the_squares(p):
+    squares = {x * x % p for x in range(p)}
+    for a in range(-2 * p, 2 * p):
+        assert is_nonresidue(a, p) == (a % p not in squares)
 
 
 class TestNonresiduePrime:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,7 @@ from reflekt.serialize import dumps, lattice_to_obj
 from reflekt.lattice import Lattice
 
 U = Lattice.hyperbolic_plane()
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -191,6 +196,22 @@ class TestConstructAndVerify:
         assert code == 1
         assert out.count("\n") == 1
         assert json.loads(out)["error"]["type"] == "CertificateError"
+
+    def test_mj_without_partner_fails_fast(self, tmp_path):
+        # every vector orthogonal to e~ has even norm, so no isotropic partner
+        # exists; the search once walked coefficient boxes 1..10 for minutes
+        path = tmp_path / "odd.json"
+        path.write_text(dumps(lattice_to_obj(Lattice.diagonal(1, 1, 1, -1, -1, -2))))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "reflekt", "--format", "json", "construct", "mj",
+             "--lattice", str(path), "--h", "1,-1,-1,0,0,-1", "--N", "1",
+             "--count", "1"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        error = json.loads(proc.stdout)["error"]
+        assert error == {"type": "ConstructionError", "message":
+                         "no isotropic partner: no vector orthogonal to e~ has odd norm"}
 
     def test_missing_n_is_usage_error(self, u3_file):
         with pytest.raises(SystemExit) as exc:

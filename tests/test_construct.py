@@ -1,15 +1,17 @@
+import itertools
 import json
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from conftest import U, brute_values, diag, dsum
+from conftest import U, brute_values, diag, dsum, isotropic_partner_oracle
 from reflekt import binary, serialize
 from reflekt import construct as c
 from reflekt.arith import is_prime, jacobi
-from reflekt.errors import (CertificateError, InternalCheckError,
-                            InvalidInputError, ToolkitError)
+from reflekt.errors import (CertificateError, ConstructionError,
+                            InternalCheckError, InvalidInputError, ToolkitError)
 from reflekt.lattice import Lattice, Sublattice
 
 U3 = dsum(U, U, U)
@@ -179,6 +181,70 @@ class TestMjFamily:
             assert not binary.represents(form, -1)
             assert not binary.represents(form, -2)
         assert c.validate_mj(cert) == []
+
+
+A = Lattice(((0, 1), (1, 1)))  # odd unimodular, signature (1, 1)
+PARTNER_AMBIENTS = {
+    "odd6": diag(1, 1, 1, -1, -1, -1),
+    "odd6_m2": diag(1, 1, 1, -1, -1, -2),
+    "odd6_2": diag(1, 1, 2, -1, -1, -1),
+    "odd6_m222": diag(1, 1, 1, -2, -2, -2),
+    "odd7": diag(1, 1, 1, -1, -1, -1, -1),
+    "A3": dsum(A, A, A),
+    "A3_m1": dsum(A, A, A, diag(-1)),
+    "A2_1_m1": dsum(A, A, diag(1, -1)),
+    "A3_x2": dsum(A, A, A).rescale(2),
+}
+
+
+def _partner_cases():
+    """(ambient name, h) for the first primitive positive-norm h with
+    entries in {0, 1, -1}, five per ambient, and one h that once made
+    mj_family search for minutes before it failed."""
+    cases = []
+    for name, lat in PARTNER_AMBIENTS.items():
+        hs = (h for h in itertools.product((0, 1, -1), repeat=lat.rank)
+              if any(h) and gcd(*h) == 1 and lat.norm(h) > 0)
+        cases += [(name, h) for h in itertools.islice(hs, 5)]
+    return cases + [("odd6_m2", (1, -1, -1, 0, 0, -1))]
+
+
+def _partner_outcome(find, name, h):
+    """find's f~ for the isotropic e that mj_family picks, or its error type."""
+    lat = PARTNER_AMBIENTS[name]
+    _, _, comp, _ = c._h_complement(lat, h)
+    e, coeffs = c._find_isotropic(comp, c.DEFAULT_SEARCH_BOX)
+    m = comp.as_lattice().divisibility(coeffs)
+    try:
+        return find(lat.gram, comp, e, m)
+    except ToolkitError as exc:
+        return type(exc)
+
+
+class TestIsotropicPartner:
+    """The integer-coordinate search against the Fraction box search it
+    replaced (box <= 2): by the parity argument a partner exists iff box 1
+    finds one, so both give the same f~ or both raise the same error."""
+
+    @pytest.mark.parametrize("name,h", _partner_cases())
+    def test_matches_box_search(self, name, h):
+        got = _partner_outcome(c._isotropic_partner, name, h)
+        assert got == _partner_outcome(isotropic_partner_oracle, name, h)
+
+    def test_every_path_is_covered(self, monkeypatch):
+        # the cases hold an even q(x), an odd one fixed by a shift, and an
+        # odd one that no shift can fix
+        shifts = []
+        real = c.product
+
+        def product(*args, **kwargs):
+            shifts.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(c, "product", product)
+        outcomes = [_partner_outcome(c._isotropic_partner, *case)
+                    for case in _partner_cases()]
+        assert 0 < outcomes.count(ConstructionError) < len(shifts) < len(outcomes)
 
 
 class TestValidateMjMalformed:

@@ -70,6 +70,9 @@ CASES = (
     ("construct_mj_primes_text", 0,
      ("construct", "mj", "--lattice", "inputs/u3.json", "--h", "1,1,0,0,0,0",
       "--N", "1", "--count", "1", "--strategy", "primes")),
+    ("construct_mj_odd6_json", 0,
+     J + ("construct", "mj", "--lattice", "inputs/odd6.json", "--h", "1,0,0,0,0,0",
+          "--N", "2", "--count", "2")),
     ("construct_nv_json", 0,
      J + ("construct", "nv-complements", "--lattice", "inputs/u.json", "-d", "2",
           "--box", "3")),
@@ -79,6 +82,7 @@ CASES = (
     ("verify_avoid_roots_json", 0, J + ("verify", "construct_avoid_roots_json.out")),
     ("verify_pell_family_text", 0, ("verify", "construct_pell_family_json.out")),
     ("verify_mj_json", 0, J + ("verify", "construct_mj_json.out")),
+    ("verify_mj_odd6_json", 0, J + ("verify", "construct_mj_odd6_json.out")),
     ("verify_nv_json", 0, J + ("verify", "construct_nv_json.out")),
     ("verify_tampered_json", 1, J + ("verify", "inputs/pell_tampered.json")),
     ("verify_tampered_text", 1, ("verify", "inputs/pell_tampered.json")),

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -29,6 +30,22 @@ class TestLatticeBasics:
             Lattice(((1, 1), (1, 1)))
         with pytest.raises(InvalidInputError):
             Lattice(((1, 0),))  # not square
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, Fraction(1, 2), Fraction(2), "1"])
+    def test_non_integer_gram_is_rejected(self, bad):
+        # int() would truncate 2.5 to 2 and parse "1"; entries must be exact ints
+        with pytest.raises(InvalidInputError):
+            Lattice(((bad, 0), (0, -1)))
+        with pytest.raises(InvalidInputError):
+            Sublattice(U, ((bad, 0),))
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, "1"])
+    def test_non_integer_vector_is_rejected(self, bad):
+        # the true norm of (1/2, 1) in U is 1; truncation would give 0
+        with pytest.raises(InvalidInputError):
+            U.norm((bad, 1))
+        with pytest.raises(InvalidInputError):
+            U.divisibility((1, bad))
 
     def test_evaluate(self):
         assert diag(1, -8).evaluate((2, 1), (2, 1)) == -4

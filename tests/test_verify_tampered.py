@@ -109,3 +109,31 @@ def test_avoid_roots_residue_prime_fails_the_direct_check():
     failures = serialize.verify_certificate_obj(obj)
     assert "-1 is a quadratic residue mod 5" in failures
     assert "direct check found x with x^2 = -1 mod 5" in failures
+
+
+DECODE_CASES = (
+    ("avoid_form_definite", AR, ("form",), [1, 0, 1]),
+    ("avoid_form_degenerate", AR, ("form",), [0, 0, -15134]),
+    ("mj_gram_asymmetric", MJ, ("ambient", "gram", 0, 1), 5),
+)
+
+
+@pytest.mark.parametrize("name,golden,path,value", DECODE_CASES,
+                         ids=[c[0] for c in DECODE_CASES])
+def test_constructor_rejection_is_certificate_error(name, golden, path, value,
+                                                    tmp_path):
+    # the BinaryForm and Lattice constructors reject these while decoding
+    code, out, err = _verify_cli(_set(_golden(golden), path, value), tmp_path)
+    assert code == 1, err
+    assert out["error"]["type"] == "CertificateError"
+    assert out["error"]["message"].startswith(f"malformed {_golden(golden)['kind']}")
+
+
+@pytest.mark.parametrize("golden,path", [(MJ, ("N",)), (AR, ("n",))])
+def test_brute_force_hits_are_one_line(golden, path):
+    # at N = 10^9 every negative value in the 101x101 box is a hit
+    failures = serialize.verify_certificate_obj(_set(_golden(golden), path, BIG))
+    brute = [f for f in failures if "brute force" in f]
+    assert len(brute) == 1, brute[:3]
+    assert len(failures) <= 5
+    assert "the smallest k = " in brute[0]
