@@ -26,7 +26,7 @@ from math import gcd, lcm
 from . import binary, intlinalg
 from .arith import (DEFAULT_EFFORT_LIMIT, DETERMINISTIC_PRIMALITY_BOUND,
                     gcd_ext, is_nonresidue, is_prime, jacobi, nonresidue_prime)
-from .errors import (ConstructionError, DependentBasisError,
+from .errors import (ConstructionError, DependentBasisError, EffortLimitExceeded,
                      InternalCheckError, InvalidInputError, SpanMismatchError)
 from .lattice import Lattice, Sublattice
 
@@ -549,10 +549,14 @@ def nv_complements(lat: Lattice, d: int, box: int) -> tuple[NvComplementEntry, .
     cheap isometry invariant; entries sharing one are flagged with the same
     class index as possibly isometric.  Completeness beyond the box is not
     claimed, and no attempt is made to classify vectors up to the ambient
-    orthogonal group.
+    orthogonal group.  If (2*box+1)**(rank-1) exceeds DEFAULT_EFFORT_LIMIT,
+    EffortLimitExceeded is raised before anything is enumerated.
     """
     if d <= 0:
         raise InvalidInputError(f"d must be positive, got {d}")
+    if box > 0 and (2 * box + 1) ** (lat.rank - 1) > DEFAULT_EFFORT_LIMIT:
+        raise EffortLimitExceeded(f"box {box} at rank {lat.rank} needs more than "
+                                  f"{DEFAULT_EFFORT_LIMIT} enumeration prefixes")
     entries = []
     fingerprints = []
     for h in lat.enumerate_norm_vectors(d, box):

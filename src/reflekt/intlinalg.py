@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 from operator import index
 
 from .arith import gcd_ext
@@ -83,18 +83,13 @@ class SmithForm:
     """Decomposition D = U * A * V with U, V unimodular.
 
     diag holds the nonnegative diagonal of D, with the divisibility chain
-    d[i] | d[i+1]; zeros (if any) come last.  vinv is V^{-1}, kept so that
-    row-space computations need no separate inversion step.
+    d[i] | d[i+1]; zeros (if any) come last.  vinv is V^{-1}.
     """
 
     diag: tuple[int, ...]
     u: IntMatrix
     v: IntMatrix
     vinv: IntMatrix
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diag if d != 0)
 
 
 def smith_normal_form(mat) -> SmithForm:
@@ -240,27 +235,26 @@ def hermite_row_basis(mat) -> IntMatrix:
 
 
 def kernel(mat) -> IntMatrix:
-    """Canonical basis rows for {x : mat @ x = 0} over Z; always saturated."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    if rows == 0:
-        return identity(cols)
-    s = smith_normal_form(mat)
-    free = [i for i in range(cols) if i >= len(s.diag) or s.diag[i] == 0]
-    raw = tuple(tuple(s.v[r][i] for r in range(cols)) for i in free)
-    return hermite_row_basis(raw)
+    """Canonical basis rows for {x : mat @ x = 0} over Z; always saturated.
+
+    These are the rows of the Hermite form of [mat^T | I] whose mat^T part
+    is zero (Cohen, Alg. 2.4.10); their I part is already a Hermite form.
+    """
+    m = len(mat)
+    cols = len(mat[0]) if m else 0
+    aug = tuple(col + e for col, e in zip(transpose(mat), identity(cols)))
+    return tuple(row[m:] for row in hermite_row_basis(aug) if not any(row[:m]))
 
 
 def row_saturation(mat) -> IntMatrix:
     """Canonical basis rows of (Q-rowspan of mat) intersected with Z^n.
 
-    Requires full row rank; the first rank rows of V^{-1} span the result.
+    Requires full row rank; the result is the kernel of the kernel.
     """
-    s = smith_normal_form(mat)
-    r = s.rank
-    if r != len(mat):
+    k = kernel(mat)
+    if mat and len(k) != len(mat[0]) - len(mat):
         raise ValueError("rows are linearly dependent")
-    return hermite_row_basis(tuple(s.vinv[i] for i in range(r)))
+    return kernel(k) if k else identity(len(mat))
 
 
 def row_span_basis(mat) -> IntMatrix:
@@ -269,9 +263,21 @@ def row_span_basis(mat) -> IntMatrix:
 
 
 def rank(mat) -> int:
-    if not mat:
-        return 0
-    return smith_normal_form(mat).rank
+    return len(hermite_row_basis(mat))
+
+
+def invariant_factors(mat) -> tuple[int, ...]:
+    """Nonzero invariant factors d[i] | d[i+1] of mat (Kannan & Bachem 1979)."""
+    # each pass either clears the leading row and column or shrinks the
+    # pivot to a proper divisor, so the loop ends
+    h = hermite_row_basis(mat)
+    while any(x for i, row in enumerate(h) for j, x in enumerate(row) if i != j):
+        h = hermite_row_basis(transpose(h))
+    d = [row[i] for i, row in enumerate(h)]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return tuple(d)
 
 
 def solve_left(basis, targets):

@@ -100,14 +100,10 @@ class Lattice:
 
     def discriminant(self) -> DiscriminantData:
         """Invariant factors of coker(gram), exponent, and group order."""
-        diag = intlinalg.smith_normal_form(self.gram).diag
-        factors = tuple(d for d in diag if d > 1)
+        factors = tuple(d for d in intlinalg.invariant_factors(self.gram) if d > 1)
         exponent = factors[-1] if factors else 1
-        order = 1
-        for d in diag:
-            order *= d
-        return DiscriminantData(invariant_factors=factors,
-                                exponent=exponent, order=order)
+        return DiscriminantData(invariant_factors=factors, exponent=exponent,
+                                order=abs(self.determinant()))
 
     def rescale(self, k: int) -> "Lattice":
         """The same module with the form multiplied by k."""

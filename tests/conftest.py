@@ -125,6 +125,69 @@ def charpoly_signature(gram):
     return pos, neg
 
 
+def _rational_rank(rows):
+    """Rank by Gaussian elimination over Fraction."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    top = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(top, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[top], a[piv] = a[piv], a[top]
+        for i in range(top + 1, len(a)):
+            f = a[i][col] / a[top][col]
+            a[i] = [x - f * y for x, y in zip(a[i], a[top])]
+        top += 1
+    return top
+
+
+def _minor_det(rows):
+    """Determinant by fraction-free (Bareiss) elimination, exact in integers."""
+    a = [list(row) for row in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            a[i] = [(a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev for j in range(n)]
+        prev = a[k][k]
+    return sign * prev
+
+
+def determinantal_divisor_oracle(m):
+    """Nonzero invariant factors of an integer matrix, d_k = D_k / D_(k-1),
+    where D_k is the gcd of all k x k minors (D_0 = 1).
+
+    k runs up to the rank from elimination over Q, since D_k = 0 beyond it;
+    the scan of the k x k minors stops once their gcd is 1.
+    """
+    rows, cols = len(m), len(m[0]) if m else 0
+    divisors = [1]
+    for k in range(1, _rational_rank(m) + 1):
+        g = 0
+        for r in itertools.combinations(range(rows), k):
+            for c in itertools.combinations(range(cols), k):
+                g = gcd(g, _minor_det([[m[i][j] for j in c] for i in r]))
+                if g == 1:
+                    break
+            if g == 1:
+                break
+        divisors.append(g)
+    return tuple(b // a for a, b in zip(divisors, divisors[1:]))
+
+
+# A dense 6x6 Gram matrix with discriminant group Z/67431652404 (perfbench's
+# probe of the same name).  A Smith form that never size-reduces its
+# transforms ran for minutes on it.
+ITEM2_GRAM = ((-33, 22, 47, -42, -18, -35), (22, 13, 47, 7, 10, 33),
+              (47, 47, -2, 50, -24, -38), (-42, 7, 50, 12, -47, -1),
+              (-18, 10, -24, -47, 5, 27), (-35, 33, -38, -1, 27, 47))
+
+
 def representation_oracle_values(d, bound):
     """Exact set of values of x^2 - d y^2 in [-bound, bound], d non-square.
 

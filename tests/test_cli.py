@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import ITEM2_GRAM
 from reflekt.cli import main
 from reflekt.serialize import dumps, lattice_to_obj
 from reflekt.lattice import Lattice
@@ -53,6 +54,19 @@ class TestLatticeCommands:
         assert code == 0
         assert obj == {"signature": [1, 1], "det": -1, "disc_factors": [],
                        "exponent": 1, "unscaled": True}
+
+    def test_info_dense_rank6_finishes(self, tmp_path):
+        # a Smith form with unreduced transforms ran for minutes on this matrix
+        path = tmp_path / "dense6.json"
+        path.write_text(dumps(lattice_to_obj(Lattice(ITEM2_GRAM))))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "reflekt", "--format", "json", "lattice", "info",
+             str(path)], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        obj = json.loads(proc.stdout)
+        assert obj["disc_factors"] == [67431652404]
+        assert obj["exponent"] == abs(obj["det"]) == 67431652404
 
     def test_complement(self, capsys, u3_file):
         code, obj = run_json(capsys, "lattice", "complement", u3_file,

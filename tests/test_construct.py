@@ -11,7 +11,8 @@ from reflekt import binary, serialize
 from reflekt import construct as c
 from reflekt.arith import is_prime, jacobi
 from reflekt.errors import (CertificateError, ConstructionError,
-                            InternalCheckError, InvalidInputError, ToolkitError)
+                            EffortLimitExceeded, InternalCheckError,
+                            InvalidInputError, ToolkitError)
 from reflekt.lattice import Lattice, Sublattice
 
 U3 = dsum(U, U, U)
@@ -320,6 +321,16 @@ class TestNvComplements:
     def test_rejects_nonpositive_d(self):
         with pytest.raises(InvalidInputError):
             c.nv_complements(U, 0, 2)
+
+    def test_box_past_the_effort_limit_is_refused_up_front(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated a box past the effort limit")
+
+        monkeypatch.setattr(Lattice, "enumerate_norm_vectors", refuse)
+        # (2*box+1)**(rank-1) = 1 000 001 at rank 2, 1 002 001 at rank 3
+        for lat, box in ((U, 500_000), (dsum(U, diag(-2)), 500)):
+            with pytest.raises(EffortLimitExceeded):
+                c.nv_complements(lat, 2, box)
 
 
 class TestRescalingFamily:

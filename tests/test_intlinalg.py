@@ -1,10 +1,13 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflekt import intlinalg as la
+from conftest import U, determinantal_divisor_oracle, dsum
+from reflekt import construct, intlinalg as la, roots
+from reflekt.lattice import Lattice, Sublattice
 
 
 def square_matrices(n_max=4, entry=6):
@@ -19,6 +22,20 @@ def rect_matrices(max_dim=4, entry=6):
         lambda rc: st.lists(
             st.lists(st.integers(-entry, entry), min_size=rc[1], max_size=rc[1]),
             min_size=rc[0], max_size=rc[0]))
+
+
+def shaped_matrices(rows, cols, entry=50):
+    """Matrices with a row count drawn from rows and a column count from cols."""
+    return st.tuples(rows, cols).flatmap(
+        lambda rc: st.lists(
+            st.lists(st.integers(-entry, entry), min_size=rc[1], max_size=rc[1]),
+            min_size=rc[0], max_size=rc[0]))
+
+
+def wide_matrices(entry=50):
+    """k x n with n in 5..8 and k in 1..n+1, so ranks 1..8 and dependent rows."""
+    return st.integers(5, 8).flatmap(
+        lambda n: shaped_matrices(st.integers(1, n + 1), st.just(n), entry))
 
 
 def det_by_expansion(m):
@@ -104,3 +121,98 @@ def test_congruence_signature_basics():
     assert la.congruence_signature(((0, 1), (1, 0))) == (1, 1, 0)
     assert la.congruence_signature(((0, 0), (0, 0))) == (0, 0, 2)
     assert la.congruence_signature(((2,),)) == (1, 0, 0)
+
+
+@given(shaped_matrices(st.integers(5, 8), st.integers(5, 8)))
+@settings(max_examples=40, deadline=None)
+def test_invariant_factors_match_determinantal_divisors(m):
+    assert la.invariant_factors(m) == determinantal_divisor_oracle(m)
+
+
+@given(wide_matrices())
+@settings(max_examples=80, deadline=None)
+def test_kernel_and_rank_at_rank_5_to_8(m):
+    n = len(m[0])
+    r = len(determinantal_divisor_oracle(m))
+    k = la.kernel(m)
+    assert la.rank(m) == r
+    assert len(k) == n - r
+    assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m for v in k)
+    # saturated: every invariant factor of the kernel basis is 1
+    assert determinantal_divisor_oracle(k) == (1,) * len(k)
+    assert k == la.hermite_row_basis(k)
+
+
+@given(wide_matrices())
+@settings(max_examples=80, deadline=None)
+def test_row_saturation_at_rank_5_to_8(m):
+    r = len(determinantal_divisor_oracle(m))
+    if r < len(m):
+        with pytest.raises(ValueError):
+            la.row_saturation(m)
+        return
+    s = la.row_saturation(m)
+    assert len(s) == r
+    assert determinantal_divisor_oracle(s) == (1,) * r
+    # same rational span: no row of m adds rank to s
+    assert all(len(determinantal_divisor_oracle(s + (tuple(row),))) == r for row in m)
+    assert s == la.hermite_row_basis(s)
+
+
+def smith_kernel(m):
+    """The kernel from Smith's V: its columns at zero diagonal entries, Hermite-reduced."""
+    cols = len(m[0])
+    s = la.smith_normal_form(m)
+    free = [i for i in range(cols) if i >= len(s.diag) or s.diag[i] == 0]
+    return la.hermite_row_basis(tuple(tuple(s.v[r][i] for r in range(cols))
+                                      for i in free))
+
+
+def smith_saturation(m):
+    """The saturation from Smith's V^-1: its first rank rows, Hermite-reduced."""
+    s = la.smith_normal_form(m)
+    r = sum(1 for d in s.diag if d != 0)
+    if r != len(m):
+        raise ValueError("rows are linearly dependent")
+    return la.hermite_row_basis(tuple(s.vinv[i] for i in range(r)))
+
+
+@given(rect_matrices(max_dim=4, entry=9))
+@settings(max_examples=200, deadline=None)
+def test_hermite_paths_match_smith_transforms(m):
+    diag = la.smith_normal_form(m).diag
+    assert la.invariant_factors(m) == tuple(d for d in diag if d != 0)
+    assert la.rank(m) == sum(1 for d in diag if d != 0)
+    assert la.kernel(m) == smith_kernel(m)
+    try:
+        want = smith_saturation(m)
+    except ValueError:
+        with pytest.raises(ValueError, match="linearly dependent"):
+            la.row_saturation(m)
+    else:
+        assert la.row_saturation(m) == want
+
+
+def test_library_paths_never_reach_smith_form(monkeypatch):
+    def refuse(mat):
+        raise AssertionError("smith_normal_form reached from a library path")
+
+    monkeypatch.setattr(la, "smith_normal_form", refuse)
+    u3 = dsum(U, U, U)
+    gram = ((2, 1, 0, 0), (1, -4, 3, 0), (0, 3, 6, 1), (0, 0, 1, -8))
+    lat = Lattice(gram)
+    sub = Sublattice(lat, ((2, 4, 0, 6), (0, 3, 3, 0)))
+    assert lat.discriminant().order == abs(la.det(gram))
+    assert la.kernel(gram[:2]) and la.rank(gram) == 4
+    assert sub.index_in(sub.saturate()) == 6
+    assert sub.orthogonal_complement().rank == 2
+    assert construct.nv_complements(dsum(U, U), 2, 2)
+    assert roots.root_norm_candidates(lat)
+    assert construct.mj_family(u3, (1, 1, 0, 0, 0, 0), 1, 1)
+
+
+def test_only_its_definition_names_smith_form():
+    src = Path(la.__file__).parent
+    hits = [(p.name, line.strip()) for p in sorted(src.glob("*.py"))
+            for line in p.read_text().splitlines() if "smith_normal_form" in line]
+    assert hits == [("intlinalg.py", "def smith_normal_form(mat) -> SmithForm:")]

@@ -1,25 +1,27 @@
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import U, box_vectors_oracle, charpoly_signature, diag, dsum
+from conftest import (ITEM2_GRAM, U, box_vectors_oracle, charpoly_signature,
+                      determinantal_divisor_oracle, diag, dsum)
+from reflekt import intlinalg
 from reflekt.errors import (DegenerateLatticeError, DependentBasisError,
                             InvalidInputError, SpanMismatchError)
 from reflekt.lattice import Lattice, Sublattice
 
 
-def sym_int_matrices(n_max=6, entry=5):
+def sym_int_matrices(n_max=6, entry=5, n_min=1):
     def build(n):
         return st.lists(
             st.lists(st.integers(-entry, entry), min_size=n, max_size=n),
             min_size=n, max_size=n).map(
                 lambda m: tuple(tuple(m[i][j] if i <= j else m[j][i]
                                       for j in range(n)) for i in range(n)))
-    return st.integers(1, n_max).flatmap(build)
+    return st.integers(n_min, n_max).flatmap(build)
 
 
 class TestLatticeBasics:
@@ -87,6 +89,9 @@ class TestDiscriminant:
         assert (d.invariant_factors, d.exponent) == ((8,), 8)
         d = diag(2, -2).discriminant()
         assert (d.invariant_factors, d.exponent) == ((2, 2), 2)
+        d = Lattice(ITEM2_GRAM).discriminant()
+        assert (d.invariant_factors, d.exponent, d.order) == (
+            (67431652404,), 67431652404, 67431652404)
 
     @given(sym_int_matrices(n_max=5, entry=4))
     @settings(max_examples=100, deadline=None)
@@ -96,6 +101,16 @@ class TestDiscriminant:
         except DegenerateLatticeError:
             return
         assert lat.discriminant().order == abs(lat.determinant())
+
+    @given(sym_int_matrices(n_max=8, entry=50, n_min=5))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_determinantal_divisors_at_rank_5_to_8(self, gram):
+        assume(intlinalg.det(gram) != 0)
+        want = determinantal_divisor_oracle(gram)
+        disc = Lattice(gram).discriminant()
+        assert disc.invariant_factors == tuple(d for d in want if d > 1)
+        assert disc.exponent == want[-1]
+        assert disc.order == prod(want)
 
 
 class TestRescale:
@@ -199,6 +214,20 @@ class TestSublattice:
         dc = s.orthogonal_complement().orthogonal_complement()
         for row in s.saturate().basis:
             assert dc.contains(row)
+
+    def test_rows_of_a_dense_rank6_gram(self):
+        # the first k rows of the Gram matrix as a sublattice of its own lattice
+        lat = Lattice(ITEM2_GRAM)
+        for k in range(1, 6):
+            rows = ITEM2_GRAM[:k]
+            sub = Sublattice(lat, rows)
+            sat = sub.saturate()
+            assert determinantal_divisor_oracle(sat.basis) == (1,) * k
+            assert sub.index_in(sat) == prod(determinantal_divisor_oracle(rows))
+            comp = sub.orthogonal_complement()
+            assert comp.rank == 6 - k
+            assert all(lat.evaluate(c, r) == 0 for c in comp.basis for r in rows)
+            assert determinantal_divisor_oracle(comp.basis) == (1,) * (6 - k)
 
     def test_degenerate_restriction_rejected(self):
         with pytest.raises(DegenerateLatticeError):

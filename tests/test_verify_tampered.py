@@ -77,6 +77,14 @@ def test_cli_verify_reports_tampered(name, golden, path, value, tmp_path):
     assert "Traceback" not in err
 
 
+def test_cli_verify_huge_nv_box_exceeds_the_effort_limit(tmp_path):
+    # nv_complements walks (2*box+1)**(rank-1) prefixes: refused up front
+    obj = _set(_golden("construct_nv_json.out"), ("box",), BIG)
+    code, out, err = _verify_cli(obj, tmp_path)
+    assert code == 1, err
+    assert out["error"]["type"] == "EffortLimitExceeded"
+
+
 @pytest.mark.parametrize("d", [0, -1, 1, 4])
 def test_pell_wrong_d_is_reported(d):
     obj = _set(_golden("construct_pell_family_json.out"), ("d",), d)
