@@ -173,20 +173,34 @@ def find_prime(spec: PrimeSearchSpec, effort_limit: int = DEFAULT_EFFORT_LIMIT) 
         f"(minimum {spec.minimum})")
 
 
-def divisors(n: int) -> tuple[int, ...]:
-    """Positive divisors of |n| in increasing order (trial division)."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorisation ((p, e), ...) of |n| in increasing p (trial division)."""
     n = abs(n)
     if n == 0:
+        raise InvalidInputError("zero has no prime factorisation")
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def divisors(n: int) -> tuple[int, ...]:
+    """Positive divisors of |n| in increasing order."""
+    if n == 0:
         raise InvalidInputError("divisors of zero are not enumerable")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
+    out = [1]
+    for p, e in factorize(n):
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return tuple(sorted(out))
 
 
 def smallest_nonresidue(q: int) -> int:
@@ -198,21 +212,8 @@ def smallest_nonresidue(q: int) -> int:
 
 
 def odd_prime_factors(k: int) -> tuple[int, ...]:
-    """Distinct odd prime factors of k, by trial division (adequate for k <= 10**6)."""
-    out = []
-    k = abs(k)
-    while k % 2 == 0:
-        k //= 2
-    p = 3
-    while p * p <= k:
-        if k % p == 0:
-            out.append(p)
-            while k % p == 0:
-                k //= p
-        p += 2
-    if k > 1:
-        out.append(k)
-    return tuple(out)
+    """Distinct odd prime factors of k, in increasing order."""
+    return tuple(p for p, _ in factorize(k) if p != 2)
 
 
 def nonresidue_prime(k: int, exclude=frozenset(), minimum: int = 2,

@@ -7,23 +7,31 @@ represented iff it occurs as a leading coefficient in the cycle of reduced
 forms.  For larger |m| one class search answers every question: each
 square root b of D modulo 4|m| gives a form (m, b, c), and m is primitively
 represented iff one of them reduces into the cycle of f; the reducing
-matrices turn those classes into witnesses.  Square discriminants are
-handled by factoring the product of the two linear forms.  Imprimitive
-representations of n are primitive ones of n/t^2, taken over the square
-parts of n.  Hence the largest negative represented value mu is always
+matrices turn those classes into witnesses.  Each cycle is computed once
+and kept as the set of its forms and the set of their leading
+coefficients, so both cycle tests are set lookups.
+
+The square roots come from the factorisation of 4|m|: Tonelli-Shanks
+modulo each odd prime, a Hensel lift to each prime power, and CRT.  That
+costs trial division up to sqrt(4|m|) plus work in proportion to the
+number of roots, where a scan of all residues would cost |m|.
+
+Square discriminants are handled by factoring the product of the two
+linear forms.  Imprimitive representations of n are primitive ones of
+n/t^2, taken over the square parts of n, which the factorisation of n
+lists.  Hence the largest negative represented value mu is always
 represented primitively (t^2 m represented implies m represented, and m
 is closer to 0), so mu needs only the primitive test.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
 from . import lattice as lattice_mod
-from .arith import divisors
+from .arith import Congruence, crt, divisors, factorize, is_nonresidue
 from .errors import (EffortLimitExceeded, InternalCheckError,
                      InvalidInputError, IsotropicFormError)
 
@@ -132,18 +140,21 @@ class PellSolution:
 
 
 def pell_fundamental(d: int) -> PellSolution:
-    """Fundamental unit solution from the convergents of sqrt(d)."""
+    """Fundamental unit solution from the convergents of sqrt(d).
+
+    With period length k, p_(k-1)^2 - d q_(k-1)^2 = (-1)^k, so the unit is
+    the convergent that ends the period when k is even and the one that
+    ends the second period when k is odd.
+    """
     cf = cf_sqrt(d)
+    k = len(cf.period)
+    steps = k - 1 if k % 2 == 0 else 2 * k - 1
     p_prev, p = 1, cf.a0
     q_prev, q = 0, 1
-    terms = itertools.cycle(cf.period)
-    for _ in range(4 * len(cf.period) + 8):
-        if p * p - d * q * q == 1:
-            return PellSolution(x=p, y=q, d=d)
-        a = next(terms)
+    for a in (cf.period * 2)[:steps]:
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
-    raise InternalCheckError(f"unit not found among convergents for d={d}")
+    return PellSolution(x=p, y=q, d=d)
 
 
 # -- reduction of indefinite forms (non-square discriminant) ----------------
@@ -190,9 +201,12 @@ def _reduce_form(form, disc, sq):
         f"reduction of {form} took more than {_REDUCE_CAP} steps")
 
 
-@lru_cache(maxsize=512)
+# Sized for repeated queries on a few forms at a time: every entry can hold
+# a long cycle, so a larger cache mostly costs memory.
+@lru_cache(maxsize=64)
 def _cycle(start):
-    """The rho-cycle through a reduced form; tuple of forms, start first."""
+    """The rho-cycle through a reduced form, as (frozenset of its forms,
+    frozenset of their leading coefficients)."""
     disc = start[1] ** 2 - 4 * start[0] * start[2]
     sq = isqrt(disc)
     out = [start]
@@ -203,7 +217,7 @@ def _cycle(start):
         if len(out) > _CYCLE_CAP:
             raise EffortLimitExceeded(
                 f"cycle through {start} is longer than {_CYCLE_CAP} forms")
-    return tuple(out)
+    return frozenset(out), frozenset(g[0] for g in out)
 
 
 def _cycle_of(f: BinaryForm):
@@ -213,21 +227,75 @@ def _cycle_of(f: BinaryForm):
     return _cycle(reduced)
 
 
+def _sqrt_mod_prime(a, p):
+    """A square root of the nonzero residue a modulo the odd prime p
+    (Tonelli-Shanks)."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while not is_nonresidue(z, p):
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _sqrt_mod_prime_power(disc, p, e):
+    """All r in [0, p^e) with r^2 = disc (mod p^e), for a prime p and e >= 1."""
+    if p == 2 or disc % p == 0:
+        roots = [disc % p]
+    elif is_nonresidue(disc, p):
+        return []
+    else:
+        r = _sqrt_mod_prime(disc % p, p)
+        roots = [r, p - r]
+    pk = p
+    for _ in range(e - 1):
+        lifted = []
+        for r in roots:
+            if 2 * r % p:
+                # f(r + t p^k) = f(r) + 2 r t p^k (mod p^(k+1)): one t works
+                t = -((r * r - disc) // pk) * pow(2 * r, -1, p) % p
+                lifted.append(r + t * pk)
+            elif (r * r - disc) % (pk * p) == 0:
+                # f(r + t p^k) = f(r) (mod p^(k+1)) for every t
+                lifted.extend(r + t * pk for t in range(p))
+        roots, pk = lifted, pk * p
+    return roots
+
+
 def _sqrt_classes_mod(disc, m):
-    """All b in [0, 2|m|) with b^2 = disc (mod 4|m|)."""
+    """All b in [0, 2|m|) with b^2 = disc (mod 4|m|), in increasing order.
+
+    The roots modulo each prime power q of 4|m| are combined by CRT, through
+    the residue that is 1 mod q and 0 mod 4|m|/q.
+    """
     mod = 4 * abs(m)
-    return [b for b in range(2 * abs(m)) if (b * b - disc) % mod == 0]
+    roots = [0]
+    for p, e in factorize(mod):
+        q = p**e
+        unit = crt((Congruence(1, q), Congruence(0, mod // q))).residue
+        roots = [(x + r * unit) % mod
+                 for x in roots for r in _sqrt_mod_prime_power(disc, p, e)]
+    return sorted(b for b in roots if b < 2 * abs(m))
 
 
 # -- representation decision -------------------------------------------------
 
 def _square_parts(n: int):
     """(t, n / t^2) for every t >= 1 with t^2 | n, in increasing t."""
-    t = 1
-    while t * t <= abs(n):
-        if n % (t * t) == 0:
-            yield t, n // (t * t)
-        t += 1
+    ts = [1]
+    for p, e in factorize(n):
+        ts = [t * p**k for t in ts for k in range(e // 2 + 1)]
+    return [(t, n // (t * t)) for t in sorted(ts)]
 
 
 def represents(f: BinaryForm, n: int) -> bool:
@@ -245,18 +313,18 @@ def _classes(f: BinaryForm, m: int):
     root b of D mod 4|m| whose form reduces into f's cycle (non-square D, m != 0)."""
     disc = f.disc
     sq = isqrt(disc)
-    cycset = set(_cycle_of(f))
+    forms, _ = _cycle_of(f)
     for b in _sqrt_classes_mod(disc, m):
         c = (b * b - disc) // (4 * m)
         reduced, q = _reduce_form((m, b, c), disc, sq)
-        if reduced in cycset:
+        if reduced in forms:
             yield reduced, q
 
 
 def _represents_primitively(f: BinaryForm, m: int) -> bool:
     """Primitive representation decision for non-square discriminant, m != 0."""
     if 4 * m * m < f.disc:
-        return any(g[0] == m for g in _cycle_of(f))
+        return m in _cycle_of(f)[1]
     return next(_classes(f, m), None) is not None
 
 
@@ -327,7 +395,7 @@ def mu(f: BinaryForm) -> int:
     if not is_anisotropic(f):
         raise IsotropicFormError(
             "mu is undefined for isotropic forms in this toolkit")
-    floor_val = max(g[0] for g in _cycle_of(f) if g[0] < 0)
+    floor_val = max(a for a in _cycle_of(f)[1] if a < 0)
     m = -1
     while not _represents_primitively(f, m):
         m -= 1

@@ -273,3 +273,83 @@ def isotropic_partner_oracle(gram, comp, e, m, box=2):
         x = tuple(a + b for a, b in zip(x, shift))
     half = int(pair(x, x)) // 2
     return tuple(a - half * b for a, b in zip(x, e_tilde))
+
+
+# -- slow oracles for the binary-form fast paths ------------------------------
+
+def sqrt_classes_oracle(disc, m):
+    """All b in [0, 2|m|) with b^2 = disc (mod 4|m|), by scanning every b."""
+    mod = 4 * abs(m)
+    return [b for b in range(2 * abs(m)) if (b * b - disc) % mod == 0]
+
+
+def square_parts_oracle(n):
+    """(t, n / t^2) for every t >= 1 with t^2 | n, stepping t up to sqrt(|n|)."""
+    out, t = [], 1
+    while t * t <= abs(n):
+        if n % (t * t) == 0:
+            out.append((t, n // (t * t)))
+        t += 1
+    return out
+
+
+def pell_oracle(d):
+    """(x, y) of the first convergent of sqrt(d) with x^2 - d y^2 = 1, running
+    the continued-fraction recurrence and testing each convergent's norm."""
+    a0 = isqrt(d)
+    m, q, a = 0, 1, a0
+    p_prev, p, y_prev, y = 1, a0, 0, 1
+    while p * p - d * y * y != 1:
+        m = a * q - m
+        q = (d - m * m) // q
+        a = (a0 + m) // q
+        p, p_prev = a * p + p_prev, p
+        y, y_prev = a * y + y_prev, y
+    return p, y
+
+
+def cycle_oracle(f):
+    """The cycle of reduced forms through f's reduced form, in rho order.
+
+    Reduction and the rho step are the library's; what this checks is the
+    use made of the cycle (the ordered tuple the cycle cache used to hold).
+    """
+    from reflekt import binary as b
+
+    disc, sq = f.disc, isqrt(f.disc)
+    start, _ = b._reduce_form((f.a, f.b, f.c), disc, sq)
+    out = [start]
+    cur, _ = b._rho(*start, disc, sq)
+    while cur != start:
+        out.append(cur)
+        cur, _ = b._rho(*cur, disc, sq)
+    return out
+
+
+def primitive_oracle(f, m, cycle=None):
+    """Primitive representation of m != 0 by f (non-square discriminant): a
+    scan of the cycle's leading coefficients when 4m^2 < D, else the class
+    search over the linearly scanned square roots."""
+    from reflekt import binary as b
+
+    cycle = cycle_oracle(f) if cycle is None else cycle
+    if 4 * m * m < f.disc:
+        return any(g[0] == m for g in cycle)
+    disc, sq = f.disc, isqrt(f.disc)
+    for r in sqrt_classes_oracle(disc, m):
+        reduced, _ = b._reduce_form((m, r, (r * r - disc) // (4 * m)), disc, sq)
+        if reduced in cycle:
+            return True
+    return False
+
+
+def mu_oracle(f):
+    """mu by the downward loop: the first of -1, -2, ... that primitive_oracle
+    accepts, which is never below the largest negative cycle coefficient."""
+    cycle = cycle_oracle(f)
+    floor_val = max(g[0] for g in cycle if g[0] < 0)
+    m = -1
+    while not primitive_oracle(f, m, cycle):
+        m -= 1
+        assert m >= floor_val, (f, m, floor_val)
+    return m

@@ -3,8 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reflekt.arith import (Congruence, PrimeSearchSpec, crt, divisors,
-                           find_prime, gcd_ext, is_nonresidue, is_prime, jacobi,
-                           nonresidue_prime, smallest_nonresidue)
+                           factorize, find_prime, gcd_ext, is_nonresidue,
+                           is_prime, jacobi, nonresidue_prime,
+                           odd_prime_factors, smallest_nonresidue)
 from reflekt.errors import EffortLimitExceeded, InvalidInputError
 
 SMALL_ODD_PRIMES = [p for p in range(3, 201) if is_prime(p)]
@@ -181,6 +182,34 @@ def test_divisors():
     assert divisors(1) == (1,)
     with pytest.raises(InvalidInputError):
         divisors(0)
+
+
+@given(st.integers(-10**9, 10**9).filter(bool))
+@settings(max_examples=300, deadline=None)
+def test_factorize_is_the_prime_factorisation(n):
+    fs = factorize(n)
+    assert [p for p, _ in fs] == sorted({p for p, _ in fs})
+    assert all(is_prime(p) and e >= 1 for p, e in fs)
+    prod = 1
+    for p, e in fs:
+        prod *= p**e
+    assert prod == abs(n)
+    assert odd_prime_factors(n) == tuple(p for p, _ in fs if p != 2)
+
+
+@given(st.integers(-20_000, 20_000).filter(bool))
+@settings(max_examples=300, deadline=None)
+def test_divisors_match_a_direct_scan(n):
+    assert divisors(n) == tuple(d for d in range(1, abs(n) + 1) if n % d == 0)
+
+
+def test_factorize_examples():
+    assert factorize(1) == ()
+    assert factorize(-360) == ((2, 3), (3, 2), (5, 1))
+    assert factorize(10**12) == ((2, 12), (5, 12))
+    assert factorize(10**9 + 7) == ((10**9 + 7, 1),)
+    with pytest.raises(InvalidInputError):
+        factorize(0)
 
 
 def test_smallest_nonresidue():

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_values, representation_oracle_values
+from conftest import (brute_values, cycle_oracle, mu_oracle, pell_oracle,
+                      primitive_oracle, representation_oracle_values,
+                      sqrt_classes_oracle, square_parts_oracle)
 from reflekt import binary as b
 from reflekt.errors import (EffortLimitExceeded, InvalidInputError,
                             IsotropicFormError)
@@ -94,6 +96,14 @@ class TestPell:
                 t = 1 + d * y * y
                 r = isqrt(t)
                 assert r * r != t, (d, y)
+
+    def test_period_end_matches_convergent_scan(self):
+        # the unit is read at the end of the (second) period; the oracle
+        # tests the norm of every convergent until one is 1
+        for d in range(2, 3001):
+            if not b.is_square(d):
+                s = b.pell_fundamental(d)
+                assert (s.x, s.y) == pell_oracle(d), d
 
     def test_isometry_examples(self):
         assert b.fundamental_automorph(b.BinaryForm.from_d(8)) == ((3, 8), (1, 3))
@@ -303,6 +313,88 @@ class TestMu:
         if negs:
             assert m >= negs[-1]
         assert all(v <= m for v in negs)
+
+
+@st.composite
+def disc_and_target(draw):
+    """(D, m): D <= 10^6 a discriminant, m = +-(any small m, a power of 2, an
+    odd prime power, or a power of a divisor of D), |m| <= 2 * 10^5."""
+    d = draw(st.integers(1, 10**6).filter(lambda d: d % 4 in (0, 1)))
+    kind = draw(st.sampled_from(("small", "two", "odd", "divides")))
+    if kind == "small":
+        m = draw(st.integers(1, 3000))
+    elif kind == "two":
+        m = 2 ** draw(st.integers(0, 17))
+    else:
+        if kind == "odd":
+            q = draw(st.sampled_from((3, 5, 7, 11, 13, 101, 443)))
+        else:
+            q = draw(st.sampled_from(
+                [k for k in range(2, min(d, 450) + 1) if d % k == 0] or [1]))
+        m = q ** draw(st.integers(1, 11))
+        while m > 2 * 10**5:
+            m //= q
+    return d, m * draw(st.sampled_from((1, -1)))
+
+
+class TestFastPathsMatchOracles:
+    """The factorised square roots, the cycle record and the square parts
+    against the linear scans they replace (see conftest)."""
+
+    @given(disc_and_target())
+    @example((4 * 3**8 * 5, 3**10))       # p | D to a high power
+    @example((5**6, -5**7))
+    @example((4 * 161, -10**5))
+    @example((17, 2**17))                  # D = 1 (mod 8): four roots mod 2^k
+    @example((12, 2**16))                  # D = 4 (mod 8)
+    @example((4 * 2**6 * 3, 2**15))
+    @example((1, 1))
+    @example((5, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_sqrt_classes_match_the_scan(self, dm):
+        d, m = dm
+        assert b._sqrt_classes_mod(d, m) == sqrt_classes_oracle(d, m)
+
+    @given(indefinite_forms())
+    @settings(max_examples=150, deadline=None)
+    def test_cycle_record_holds_the_cycle(self, t):
+        f = b.BinaryForm(*t)
+        if not b.is_anisotropic(f):
+            return
+        cycle = cycle_oracle(f)
+        assert b._cycle_of(f) == (frozenset(cycle),
+                                  frozenset(g[0] for g in cycle))
+
+    @given(indefinite_forms(), st.integers(-60, 60).filter(bool))
+    @settings(max_examples=300, deadline=None)
+    def test_primitive_test_matches_the_cycle_scan(self, t, n):
+        f = b.BinaryForm(*t)
+        if not b.is_anisotropic(f):
+            return
+        assert b._represents_primitively(f, n) == primitive_oracle(f, n)
+        assert b.represents(f, n) == any(
+            primitive_oracle(f, m) for _, m in square_parts_oracle(n))
+
+    @given(indefinite_forms())
+    @example((1, 0, -8))
+    @example((1, 0, -99))
+    @example((1, -11, -11))
+    @example((1, 0, -1000003))
+    @settings(max_examples=150, deadline=None)
+    def test_mu_matches_the_downward_loop(self, t):
+        f = b.BinaryForm(*t)
+        if b.is_anisotropic(f):
+            assert b.mu(f) == mu_oracle(f)
+
+    @given(st.integers(-10**7, 10**7).filter(bool))
+    @example(2**12 * 3**6)
+    @example(-10**6)
+    @example(-(7**2) * 11**4 * 13)
+    @example(1)
+    @example(-1)
+    @settings(max_examples=300, deadline=None)
+    def test_square_parts_match_the_t_loop(self, n):
+        assert list(b._square_parts(n)) == square_parts_oracle(n)
 
 
 class TestAnisotropic:

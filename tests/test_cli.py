@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import ITEM2_GRAM
+from reflekt.binary import BinaryForm, representation_witness
 from reflekt.cli import main
 from reflekt.serialize import dumps, lattice_to_obj
 from reflekt.lattice import Lattice
@@ -117,6 +118,25 @@ class TestBinaryCommands:
         code, obj = run_json(capsys, "binary", "roots", "-D", "8")
         assert obj == {"roots": [{"norm": -4, "vector": [2, 1]},
                                  {"norm": -8, "vector": [0, 1]}]}
+
+    @pytest.mark.parametrize("n, expected", [(-10**9, "true"), (-10**12, "false")])
+    def test_represents_huge_n_finishes(self, n, expected):
+        # square roots of D mod 4|n| by a scan of every residue took time
+        # linear in |n|; -10^12 is not a value of x^2 - 161 y^2 mod 7
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "reflekt", "binary", "represents", "-D", "161",
+             "-n", str(n)], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
+        f = BinaryForm.from_d(161)
+        w = representation_witness(f, n)
+        if expected == "true":
+            assert f.value(*w) == n
+        else:
+            assert w is None
+            assert n % 7 not in {(x * x - 161 * y * y) % 7
+                                 for x in range(7) for y in range(7)}
 
     def test_domain_error_is_exit_1_with_json_object(self, capsys):
         code, out = run(capsys, "--format", "json", "binary", "mu", "-D", "9")
