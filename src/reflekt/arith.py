@@ -9,7 +9,7 @@ raises EffortLimitExceeded rather than silently truncating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import EffortLimitExceeded, InternalCheckError, InvalidInputError
 
@@ -174,21 +174,41 @@ def find_prime(spec: PrimeSearchSpec, effort_limit: int = DEFAULT_EFFORT_LIMIT) 
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorisation ((p, e), ...) of |n| in increasing p (trial division)."""
+    """Prime factorisation ((p, e), ...) of |n| in increasing p (trial division).
+
+    Trial division stops after DEFAULT_EFFORT_LIMIT candidate divisors
+    (2, 3, 5, 7, ...).  A cofactor left over at that point is accepted as
+    prime only below 2**64 and by is_prime; otherwise EffortLimitExceeded.
+    """
     n = abs(n)
     if n == 0:
         raise InvalidInputError("zero has no prime factorisation")
     out = []
-    p = 2
-    while p * p <= n:
+    e = (n & -n).bit_length() - 1
+    if e:
+        n >>= e
+        out.append((2, e))
+    last = 2 * DEFAULT_EFFORT_LIMIT - 1
+    bound = isqrt(n)
+    if bound > last:  # min() costs more than the loop on small n
+        bound = last
+    p = 3
+    while p <= bound:
         if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
             out.append((p, e))
-        p += 1 if p == 2 else 2
+            bound = isqrt(n)
+            if bound > last:
+                bound = last
+        p += 2
     if n > 1:
+        if p * p <= n and not (n < DETERMINISTIC_PRIMALITY_BOUND and is_prime(n)):
+            raise EffortLimitExceeded(
+                f"trial division stopped after {DEFAULT_EFFORT_LIMIT} candidate "
+                f"divisors with the cofactor {n} not proven prime")
         out.append((n, 1))
     return tuple(out)
 

@@ -26,8 +26,8 @@ from math import gcd, lcm
 from . import binary, intlinalg
 from .arith import (DEFAULT_EFFORT_LIMIT, DETERMINISTIC_PRIMALITY_BOUND,
                     gcd_ext, is_nonresidue, is_prime, jacobi, nonresidue_prime)
-from .errors import (ConstructionError, DependentBasisError, EffortLimitExceeded,
-                     InternalCheckError, InvalidInputError, SpanMismatchError)
+from .errors import (ConstructionError, DependentBasisError, InternalCheckError,
+                     InvalidInputError, SpanMismatchError)
 from .lattice import Lattice, Sublattice
 
 DEFAULT_SEARCH_BOX = 10
@@ -554,9 +554,7 @@ def nv_complements(lat: Lattice, d: int, box: int) -> tuple[NvComplementEntry, .
     """
     if d <= 0:
         raise InvalidInputError(f"d must be positive, got {d}")
-    if box > 0 and (2 * box + 1) ** (lat.rank - 1) > DEFAULT_EFFORT_LIMIT:
-        raise EffortLimitExceeded(f"box {box} at rank {lat.rank} needs more than "
-                                  f"{DEFAULT_EFFORT_LIMIT} enumeration prefixes")
+    lat.check_prefix_budget(box)
     entries = []
     fingerprints = []
     for h in lat.enumerate_norm_vectors(d, box):

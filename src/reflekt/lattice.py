@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from . import intlinalg
+from .arith import DEFAULT_EFFORT_LIMIT
 from .errors import (DegenerateLatticeError, DependentBasisError,
-                     InvalidInputError, SpanMismatchError)
+                     EffortLimitExceeded, InvalidInputError, SpanMismatchError)
 
 
 @dataclass(frozen=True)
@@ -124,6 +125,13 @@ class Lattice:
 
     # -- bounded enumeration -------------------------------------------------
 
+    def check_prefix_budget(self, box: int) -> None:
+        """Refuse a box whose (2*box+1)**(rank-1) walk prefixes exceed
+        DEFAULT_EFFORT_LIMIT, with EffortLimitExceeded, before any walk."""
+        if box > 0 and (2 * box + 1) ** (self.rank - 1) > DEFAULT_EFFORT_LIMIT:
+            raise EffortLimitExceeded(f"box {box} at rank {self.rank} needs more than "
+                                      f"{DEFAULT_EFFORT_LIMIT} enumeration prefixes")
+
     def _walk_prefixes(self, box: int, finish) -> None:
         """Call finish(coords, val, pair, leading_zero) once per prefix.
 
@@ -208,7 +216,11 @@ class Lattice:
     def box_vectors(self, box: int) -> list[tuple[tuple[int, ...], int]]:
         """All (v, q(v)) with nonzero v, coordinates in [-box, box], one
         vector per sign class (first nonzero coordinate positive), in
-        lexicographic order."""
+        lexicographic order.
+
+        No library code calls this; it stays only because
+        `perfbench/workloads.py::_ENTRY_POINTS` names it.
+        """
         a = self.gram[-1][-1]
         out = []
 

@@ -57,7 +57,8 @@ def reflect(lat: Lattice, v, u):
 
 
 def root_norm_candidates(lat: Lattice) -> tuple[int, ...]:
-    """Negative divisors of 2 e(lattice); a superset of achievable root norms."""
+    """Negative divisors of 2 e(lattice); a superset of achievable root norms
+    by the lemma in `find_roots_in_box`."""
     e = lat.discriminant().exponent
     return tuple(-d for d in divisors(2 * e))
 
@@ -65,11 +66,31 @@ def root_norm_candidates(lat: Lattice) -> tuple[int, ...]:
 def find_roots_in_box(lat: Lattice, box: int) -> tuple[tuple[int, ...], ...]:
     """All negative-norm roots with coordinates in [-box, box], up to sign.
 
-    Complete within the box only.
+    Complete within the box only.  Lemma: the norm q of a root v divides
+    2e, where e is the exponent of the discriminant group.  Proof: 2v/q pairs
+    integrally with L, so it lies in L^#, and as v is primitive its class
+    in L^#/L has order |q|/gcd(q, 2), which divides e.  So one walk over
+    the (2*box+1)**(rank-1) prefixes computes each last-coordinate norm in
+    O(1) and runs the primitivity and root tests only where q | 2e.  A box
+    of more than DEFAULT_EFFORT_LIMIT prefixes raises EffortLimitExceeded
+    before the walk.
     """
-    return tuple(sorted(v for v, q in lat.box_vectors(box)
-                        if q < 0 and gcd(*v) == 1
-                        and 2 * lat.divisibility(v) % q == 0))
+    lat.check_prefix_budget(box)
+    two_e = 2 * lat.discriminant().exponent
+    a = lat.gram[-1][-1]
+    found = []
+
+    def scan_last(coords, val, pair, leading_zero):
+        b = 2 * pair
+        for t in range(1 if leading_zero else -box, box + 1):
+            q = val + (a * t + b) * t
+            if q < 0 and two_e % q == 0:
+                coords[-1] = t
+                if gcd(*coords) == 1 and 2 * lat.divisibility(coords) % q == 0:
+                    found.append(tuple(coords))
+
+    lat._walk_prefixes(box, scan_last)
+    return tuple(sorted(found))
 
 
 @dataclass(frozen=True)

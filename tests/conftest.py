@@ -82,6 +82,24 @@ def brute_roots(lat, box):
     return out
 
 
+def factorize_oracle(n):
+    """((p, e), ...) of |n| > 0 by trial division with every d >= 2."""
+    n = abs(n)
+    out = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
 def box_vectors_oracle(gram, box):
     """(v, q(v)) for each nonzero v in [-box, box]^rank whose first nonzero
     coordinate is positive, in itertools.product (lexicographic) order."""

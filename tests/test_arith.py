@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,8 @@ from reflekt.arith import (Congruence, PrimeSearchSpec, crt, divisors,
                            factorize, find_prime, gcd_ext, is_nonresidue,
                            is_prime, jacobi, nonresidue_prime,
                            odd_prime_factors, smallest_nonresidue)
+from conftest import factorize_oracle
+from reflekt.arith import DEFAULT_EFFORT_LIMIT
 from reflekt.errors import EffortLimitExceeded, InvalidInputError
 
 SMALL_ODD_PRIMES = [p for p in range(3, 201) if is_prime(p)]
@@ -210,6 +214,59 @@ def test_factorize_examples():
     assert factorize(10**9 + 7) == ((10**9 + 7, 1),)
     with pytest.raises(InvalidInputError):
         factorize(0)
+
+
+def _seeded_factorize_inputs():
+    """n < 10^9 from a fixed seed: plain draws, primes and prime squares."""
+    rng = random.Random(20261018)
+    plain = [rng.randrange(2, 10**9) for _ in range(120)]
+    primes, squares = [], []
+    while len(primes) < 15:
+        n = rng.randrange(10**8, 10**9)
+        if factorize_oracle(n) == ((n, 1),):
+            primes.append(n)
+    while len(squares) < 15:
+        p = rng.randrange(2, 31_622)
+        if factorize_oracle(p) == ((p, 1),):
+            squares.append(p * p)
+    return plain + primes + squares
+
+
+def test_factorize_matches_plain_trial_division():
+    for n in _seeded_factorize_inputs():
+        assert factorize(n) == factorize_oracle(n), n
+        assert factorize(-n) == factorize_oracle(n), n
+
+
+class TestFactorizeBudget:
+    """Trial division stops after DEFAULT_EFFORT_LIMIT candidates: 2, 3, 5, ...,
+    the last of them 2 * DEFAULT_EFFORT_LIMIT - 1."""
+
+    LAST = 2 * DEFAULT_EFFORT_LIMIT - 1
+
+    def test_prime_cofactor_below_2_64_is_accepted(self):
+        big = 2**61 - 1  # a Mersenne prime, beyond LAST^2
+        assert big > self.LAST**2
+        assert factorize(big) == ((big, 1),)
+        assert factorize(-12 * big) == ((2, 2), (3, 1), (big, 1))
+
+    def test_small_factor_found_before_the_budget(self):
+        p = 1_999_993  # the largest prime below LAST
+        assert is_prime(p) and p <= self.LAST
+        assert factorize(p * (2**61 - 1)) == ((p, 1), (2**61 - 1, 1))
+        assert factorize(p * p) == ((p, 2),)
+
+    def test_composite_cofactor_is_refused(self):
+        p, q = 10**7 + 19, 10**7 + 79
+        assert is_prime(p) and is_prime(q)
+        with pytest.raises(EffortLimitExceeded):
+            factorize(p * q)
+
+    def test_cofactor_at_or_above_2_64_is_refused(self):
+        with pytest.raises(EffortLimitExceeded):
+            factorize(2**89 - 1)  # prime, but beyond is_prime's range
+        with pytest.raises(EffortLimitExceeded):
+            factorize(2 * (2**89 - 1))
 
 
 def test_smallest_nonresidue():

@@ -487,3 +487,11 @@ class TestBudgets:
                 b.represents(b.BinaryForm.from_d(7), -3)
         finally:
             b._cycle.cache_clear()
+
+    def test_factorisation_budget(self):
+        # -(2^89 - 1) is a prime beyond 2^64: trial division to its square
+        # root would not finish, and is_prime cannot certify it
+        with pytest.raises(EffortLimitExceeded):
+            b.represents(b.BinaryForm.from_d(161), -(2**89 - 1))
+        with pytest.raises(EffortLimitExceeded):
+            b.representation_witness(b.BinaryForm.from_d(161), -(2**89 - 1))

@@ -138,6 +138,17 @@ class TestBinaryCommands:
             assert n % 7 not in {(x * x - 161 * y * y) % 7
                                  for x in range(7) for y in range(7)}
 
+    def test_represents_unfactorable_n_is_refused(self):
+        # 2^89 - 1 is prime, but beyond both trial division's budget and
+        # is_prime's range; the unbudgeted trial division never finished
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "reflekt", "--format", "json", "binary",
+             "represents", "-D", "161", "-n", str(-(2**89 - 1))],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout)["error"]["type"] == "EffortLimitExceeded"
+
     def test_domain_error_is_exit_1_with_json_object(self, capsys):
         code, out = run(capsys, "--format", "json", "binary", "mu", "-D", "9")
         assert code == 1
@@ -165,6 +176,18 @@ class TestRootsCommands:
         assert code == 0
         assert obj["status"] == "reflective"
         assert obj["evidence"]["roots"]
+
+    @pytest.mark.parametrize("argv", [("reflectivity", "--budget", "10"),
+                                      ("find", "--box", "10")])
+    def test_rank6_search_past_the_effort_limit_is_refused(self, u3_file, argv):
+        # 21^5 prefixes exceed the effort limit 10^6; the box scan used to
+        # walk all 21^6 / 2 vectors of the box
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "reflekt", "roots", argv[0], u3_file, *argv[1:],
+             "--format", "json"], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout)["error"]["type"] == "EffortLimitExceeded"
 
 
 class TestConstructAndVerify:

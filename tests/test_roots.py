@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
-from conftest import U, brute_roots, diag
+from conftest import (U, brute_roots, charpoly_signature,
+                      determinantal_divisor_oracle, diag, dsum, factorize_oracle)
 from reflekt import roots as rt
-from reflekt.errors import InvalidInputError, NotARootError
+from reflekt.errors import (DegenerateLatticeError, EffortLimitExceeded,
+                            InvalidInputError, NotARootError)
 from reflekt.lattice import Lattice
 
 
@@ -82,6 +86,120 @@ class TestFindRootsInBox:
             box = 4 if lat.rank >= 4 else 6
             assert set(rt.find_roots_in_box(lat, box)) == brute_roots(lat, box), \
                 lat.gram
+
+
+def _exponent(lat):
+    factors = determinantal_divisor_oracle(lat.gram)
+    return factors[-1]
+
+
+def _divisor_count(n):
+    count = 1
+    for _, e in factorize_oracle(n):
+        count *= e + 1
+    return count
+
+
+def _unimodular_gram(rng, r):
+    """A dense Gram matrix congruent to diag(+-1, ...), entries in [-4, 4]."""
+    signs = [1, -1] + [rng.choice((1, -1)) for _ in range(r - 2)]
+    g = [[signs[i] if i == j else 0 for j in range(r)] for i in range(r)]
+    for _ in range(4 * r):
+        i, j = rng.sample(range(r), 2)
+        s = rng.choice((1, -1))
+        h = [row[:] for row in g]
+        for k in range(r):  # row i += s row j, then column i += s column j
+            h[i][k] += s * h[j][k]
+        for k in range(r):
+            h[k][i] += s * h[k][j]
+        if max(abs(x) for row in h for x in row) <= 4:
+            g = h
+    return Lattice(tuple(map(tuple, g)))
+
+
+def _rich_gram(rng, r):
+    """A dense Gram matrix, entries in [-4, 4], whose 2e has >= 12 divisors."""
+    while True:
+        g = [[0] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(i, r):
+                g[i][j] = g[j][i] = rng.randint(-4, 4)
+        try:
+            lat = Lattice(tuple(map(tuple, g)))
+        except DegenerateLatticeError:
+            continue
+        if _divisor_count(2 * _exponent(lat)) >= 12:
+            return lat
+
+
+def _dense_cases():
+    rng = random.Random(8)
+    cases = []
+    for k in range(30):
+        r = 3 + k % 3
+        kind, make = (("e1", _unimodular_gram) if k % 2 == 0
+                      else ("rich", _rich_gram))
+        box = rng.choice((2, 3))
+        cases.append(pytest.param(make(rng, r), box,
+                                  id=f"{k}-{kind}-rank{r}-box{box}"))
+    return cases
+
+
+DENSE_CASES = _dense_cases()
+
+
+class TestFusedWalk:
+    """find_roots_in_box tests only vectors whose norm divides 2e; the brute
+    force in conftest tests every vector of the box."""
+
+    def test_the_cases_cover_both_kinds(self):
+        lats = [case.values[0] for case in DENSE_CASES]
+        exps = [_exponent(lat) for lat in lats]
+        assert sum(e == 1 for e in exps) == 15
+        assert sum(_divisor_count(2 * e) >= 12 for e in exps) == 15
+        assert {lat.rank for lat in lats} == {3, 4, 5}
+        assert all(any(x for i, row in enumerate(lat.gram)
+                       for j, x in enumerate(row) if i != j) for lat in lats)
+
+    @pytest.mark.parametrize("lat,box", DENSE_CASES)
+    def test_matches_brute_force(self, lat, box):
+        want = tuple(sorted(brute_roots(lat, box)))
+        assert rt.find_roots_in_box(lat, box) == want
+        pos, neg = charpoly_signature(lat.gram)
+        verdict = rt.reflectivity_indicator(lat, box)
+        if pos and neg:
+            assert verdict.status == rt.UNKNOWN
+            assert verdict.evidence.roots == want
+        else:
+            assert verdict.status == rt.REFLECTIVE
+
+    def test_roots_of_norms_other_than_minus_1_and_2_occur(self):
+        norms = {lat.norm(v) for lat, box in (case.values for case in DENSE_CASES)
+                 if _exponent(lat) > 1 for v in rt.find_roots_in_box(lat, box)}
+        assert norms - {-1, -2}
+
+
+class TestSearchBudget:
+    """A box of more than DEFAULT_EFFORT_LIMIT = 10^6 prefixes is refused
+    before the walk."""
+
+    U3 = dsum(U, U, U)
+
+    def test_rank6_default_budget_is_refused(self):
+        with pytest.raises(EffortLimitExceeded):
+            rt.find_roots_in_box(self.U3, 10)  # 21^5 prefixes
+        with pytest.raises(EffortLimitExceeded):
+            rt.reflectivity_indicator(self.U3, 10)
+
+    def test_boundary(self):
+        lat = dsum(U, diag(-2))
+        lat.check_prefix_budget(499)  # 999^2 <= 10^6
+        with pytest.raises(EffortLimitExceeded):
+            rt.find_roots_in_box(lat, 500)  # 1001^2 > 10^6
+
+    def test_definite_lattices_need_no_search(self):
+        assert rt.reflectivity_indicator(diag(1, 1, 1, 1, 1, 1), 10).status \
+            == rt.REFLECTIVE
 
 
 class TestReflectivity:
