@@ -7,9 +7,16 @@ represented iff it occurs as a leading coefficient in the cycle of reduced
 forms.  For larger |m| one class search answers every question: each
 square root b of D modulo 4|m| gives a form (m, b, c), and m is primitively
 represented iff one of them reduces into the cycle of f; the reducing
-matrices turn those classes into witnesses.  Each cycle is computed once
-and kept as the set of its forms and the set of their leading
-coefficients, so both cycle tests are set lookups.
+matrices turn those classes into witnesses.
+
+Each public call reduces f once.  Each cycle is walked once and kept as a
+record: the position of every form in rho order, the set of leading
+coefficients, and the t of every rho step, whose matrix is
+((0, -1), (1, t)).  Both cycle tests are then lookups, and a witness
+multiplies the stored steps from f's reduced form to its class's instead
+of walking the cycle again.  mu is the largest negative leading coefficient
+c* unless a class search on the few m between c* and -sqrt(D)/2 finds a
+larger value (see `mu`).
 
 The square roots come from the factorisation of 4|m|: Tonelli-Shanks
 modulo each odd prime, a Hensel lift to each prime power, and CRT.  That
@@ -29,9 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from . import lattice as lattice_mod
-from .arith import Congruence, crt, divisors, factorize, is_nonresidue
+from .arith import divisors, factorize, is_nonresidue
 from .errors import (EffortLimitExceeded, InternalCheckError,
                      InvalidInputError, IsotropicFormError)
 
@@ -165,7 +173,8 @@ def _is_reduced(a: int, b: int, c: int, sq: int) -> bool:
 
 
 def _rho(a, b, c, disc, sq):
-    """One reduction/cycle step; returns the neighbor form and its SL2 matrix."""
+    """One reduction/cycle step: the neighbor form and the t of its SL2
+    matrix ((0, -1), (1, t))."""
     ac = abs(c)
     if ac > sq:
         r = (-b) % (2 * ac)
@@ -173,9 +182,7 @@ def _rho(a, b, c, disc, sq):
             r -= 2 * ac
     else:
         r = sq - ((sq + b) % (2 * ac))
-    c2 = (r * r - disc) // (4 * c)
-    t = (b + r) // (2 * c)
-    return (c, r, c2), ((0, -1), (1, t))
+    return (c, r, (r * r - disc) // (4 * c)), (b + r) // (2 * c)
 
 
 def _mat2_mul(m1, m2):
@@ -185,18 +192,20 @@ def _mat2_mul(m1, m2):
              m1[1][0] * m2[0][1] + m1[1][1] * m2[1][1]))
 
 
-_ID2 = ((1, 0), (0, 1))
-
-
 def _reduce_form(form, disc, sq):
-    """Reduce to a reduced form, returning (reduced, M) with form∘M = reduced."""
-    m = _ID2
+    """Reduce to a reduced form, returning (reduced, M) with form∘M = reduced.
+
+    M is the product of the rho step matrices, accumulated by columns:
+    right-multiplying by ((0, -1), (1, t)) maps (c0, c1) to (c1, t c1 - c0).
+    """
+    m00, m01, m10, m11 = 1, 0, 0, 1
     a, b, c = form
     for _ in range(_REDUCE_CAP):
         if _is_reduced(a, b, c, sq):
-            return (a, b, c), m
-        (a, b, c), step = _rho(a, b, c, disc, sq)
-        m = _mat2_mul(m, step)
+            return (a, b, c), ((m00, m01), (m10, m11))
+        (a, b, c), t = _rho(a, b, c, disc, sq)
+        m00, m01 = m01, t * m01 - m00
+        m10, m11 = m11, t * m11 - m10
     raise EffortLimitExceeded(
         f"reduction of {form} took more than {_REDUCE_CAP} steps")
 
@@ -205,26 +214,40 @@ def _reduce_form(form, disc, sq):
 # a long cycle, so a larger cache mostly costs memory.
 @lru_cache(maxsize=64)
 def _cycle(start):
-    """The rho-cycle through a reduced form, as (frozenset of its forms,
-    frozenset of their leading coefficients)."""
+    """The rho-cycle through a reduced form, as (positions, leads, steps):
+    a read-only dict from each form to its index in rho order from start,
+    the frozenset of the forms' leading coefficients, and the t of each rho
+    step, steps[i] leading from the form at index i to the next."""
     disc = start[1] ** 2 - 4 * start[0] * start[2]
     sq = isqrt(disc)
-    out = [start]
-    cur, _ = _rho(*start, disc, sq)
+    pos = {start: 0}
+    cur, t = _rho(*start, disc, sq)
+    steps = [t]
     while cur != start:
-        out.append(cur)
-        cur, _ = _rho(*cur, disc, sq)
-        if len(out) > _CYCLE_CAP:
+        if len(pos) >= _CYCLE_CAP:
             raise EffortLimitExceeded(
                 f"cycle through {start} is longer than {_CYCLE_CAP} forms")
-    return frozenset(out), frozenset(g[0] for g in out)
+        pos[cur] = len(pos)
+        cur, t = _rho(*cur, disc, sq)
+        steps.append(t)
+    return pos, frozenset(g[0] for g in pos), tuple(steps)
 
 
-def _cycle_of(f: BinaryForm):
+class _Reduction(NamedTuple):
+    """A form f of non-square discriminant, reduced once per public call:
+    f∘p is the reduced form at index 0 of the cycle record."""
+
+    disc: int
+    sq: int
+    p: tuple
+    cycle: tuple
+
+
+def _reduction(f: BinaryForm) -> _Reduction:
     disc = f.disc
     sq = isqrt(disc)
-    reduced, _ = _reduce_form((f.a, f.b, f.c), disc, sq)
-    return _cycle(reduced)
+    f_red, p = _reduce_form((f.a, f.b, f.c), disc, sq)
+    return _Reduction(disc, sq, p, _cycle(f_red))
 
 
 def _sqrt_mod_prime(a, p):
@@ -282,7 +305,8 @@ def _sqrt_classes_mod(disc, m):
     roots = [0]
     for p, e in factorize(mod):
         q = p**e
-        unit = crt((Congruence(1, q), Congruence(0, mod // q))).residue
+        rest = mod // q
+        unit = rest * pow(rest, -1, q) % mod
         roots = [(x + r * unit) % mod
                  for x in roots for r in _sqrt_mod_prime_power(disc, p, e)]
     return sorted(b for b in roots if b < 2 * abs(m))
@@ -305,27 +329,27 @@ def represents(f: BinaryForm, n: int) -> bool:
         return is_square(disc)
     if is_square(disc):
         return bool(_square_disc_solutions(f, n))
-    return any(_represents_primitively(f, m) for _, m in _square_parts(n))
+    red = _reduction(f)
+    return any(_represents_primitively(red, m) for _, m in _square_parts(n))
 
 
-def _classes(f: BinaryForm, m: int):
+def _classes(red: _Reduction, m: int):
     """The class search: (reduced, M) with (m, b, c)∘M = reduced for each square
-    root b of D mod 4|m| whose form reduces into f's cycle (non-square D, m != 0)."""
-    disc = f.disc
-    sq = isqrt(disc)
-    forms, _ = _cycle_of(f)
+    root b of D mod 4|m| whose form reduces into f's cycle (m != 0)."""
+    disc, sq = red.disc, red.sq
+    pos = red.cycle[0]
     for b in _sqrt_classes_mod(disc, m):
         c = (b * b - disc) // (4 * m)
         reduced, q = _reduce_form((m, b, c), disc, sq)
-        if reduced in forms:
+        if reduced in pos:
             yield reduced, q
 
 
-def _represents_primitively(f: BinaryForm, m: int) -> bool:
-    """Primitive representation decision for non-square discriminant, m != 0."""
-    if 4 * m * m < f.disc:
-        return m in _cycle_of(f)[1]
-    return next(_classes(f, m), None) is not None
+def _represents_primitively(red: _Reduction, m: int) -> bool:
+    """Primitive representation decision for m != 0."""
+    if 4 * m * m < red.disc:
+        return m in red.cycle[1]
+    return next(_classes(red, m), None) is not None
 
 
 def _square_disc_solutions(f: BinaryForm, n: int):
@@ -377,8 +401,9 @@ def representation_witness(f: BinaryForm, n: int):
     if is_square(disc):
         sols = _square_disc_solutions(f, n)
         return min(sols) if sols else None
+    red = _reduction(f)
     for t, m in _square_parts(n):
-        for v in _primitive_representation_witnesses(f, m):
+        for v in _primitive_representation_witnesses(f, red, m):
             return (t * v[0], t * v[1])
     return None
 
@@ -387,22 +412,25 @@ def mu(f: BinaryForm) -> int:
     """Largest negative integer represented by f.
 
     Defined for anisotropic indefinite forms only; for isotropic binary
-    forms the maximum need not exist, so those are rejected.  The cycle of
-    reduced forms supplies a represented negative value, which bounds the
-    downward search; the value found is represented primitively (see the
-    module docstring), so only the primitive test runs.
+    forms the maximum need not exist, so those are rejected.  mu is
+    represented primitively (see the module docstring), and so is the
+    largest negative leading coefficient c* of the cycle, so mu >= c*.
+    An m with 4m^2 < D is primitively represented iff it is a leading
+    coefficient, which no m in (c*, 0) is.  Hence mu = c* when 4c*^2 < D;
+    otherwise the class search runs on the window (c*, -k] only, where
+    k = ceil(sqrt(D)/2) is the least |m| with 4m^2 >= D, and mu is its first
+    represented m, or c* if it has none.
     """
     if not is_anisotropic(f):
         raise IsotropicFormError(
             "mu is undefined for isotropic forms in this toolkit")
-    floor_val = max(a for a in _cycle_of(f)[1] if a < 0)
-    m = -1
-    while not _represents_primitively(f, m):
-        m -= 1
-        if m < floor_val:
-            raise InternalCheckError(
-                f"mu search passed the attained cycle value {floor_val}")
-    return m
+    red = _reduction(f)
+    c_star = max(a for a in red.cycle[1] if a < 0)
+    # D is not a square, so sqrt(D)/2 is not an integer
+    for m in range(-(red.sq // 2 + 1), c_star, -1):
+        if next(_classes(red, m), None) is not None:
+            return m
+    return c_star
 
 
 # -- automorphs and root norms ----------------------------------------------
@@ -471,29 +499,29 @@ def _canonical_witness(f: BinaryForm, v):
     return best
 
 
-def _primitive_representation_witnesses(f: BinaryForm, m: int):
+def _primitive_representation_witnesses(f: BinaryForm, red, m: int):
     """One primitive solution of f = m per proper-automorphism class.
 
-    For square discriminants the solution set itself is finite and is
-    returned whole.
+    red is f's `_Reduction`, or None for a square discriminant, where the
+    solution set itself is finite and is returned whole.
     """
-    disc = f.disc
     out = []
-    if is_square(disc):
+    if red is None:
         for v in sorted(_square_disc_solutions(f, m)):
             if gcd(v[0], v[1]) == 1:
                 out.append(v)
         return out
-    sq = isqrt(disc)
-    f_red, p = _reduce_form((f.a, f.b, f.c), disc, sq)
-    for g_red, q in _classes(f, m):
-        # walk f's cycle from f_red to g_red, which _classes put on it
-        r = _ID2
-        cur = f_red
-        while cur != g_red:
-            cur, step = _rho(*cur, disc, sq)
-            r = _mat2_mul(r, step)
-        tot = _mat2_mul(_mat2_mul(p, r), _mat2_inv_unimodular(q))
+    pos, _, steps = red.cycle
+    for g_red, q in _classes(red, m):
+        # the product r of the step matrices from f_red (index 0) to g_red,
+        # accumulated by columns as in _reduce_form
+        r00, r01, r10, r11 = 1, 0, 0, 1
+        for i in range(pos[g_red]):
+            t = steps[i]
+            r00, r01 = r01, t * r01 - r00
+            r10, r11 = r11, t * r11 - r10
+        r = ((r00, r01), (r10, r11))
+        tot = _mat2_mul(_mat2_mul(red.p, r), _mat2_inv_unimodular(q))
         v = (tot[0][0], tot[1][0])
         if f.value(*v) != m or gcd(v[0], v[1]) != 1:
             raise InternalCheckError(
@@ -512,10 +540,11 @@ def binary_roots(f: BinaryForm):
     """
     lat = f.gram_lattice()
     exponent = lat.discriminant().exponent
+    red = None if is_square(f.disc) else _reduction(f)
     out = []
     for d in divisors(2 * exponent):
         m = -d
-        for v in _primitive_representation_witnesses(f, m):
+        for v in _primitive_representation_witnesses(f, red, m):
             if 2 * lat.divisibility(v) % m == 0:
                 out.append((m, _canonical_witness(f, v)))
                 break

@@ -49,9 +49,11 @@ def _validated(validate, cert):
 def _brute_force_failures(a, b, c, bound):
     """The k in 0..bound with a x^2 + b xy + c y^2 = -k for some nonzero
     (x, y) with |x|, |y| <= 50, as at most one failure line giving their
-    count and the smallest: an oracle independent of `binary`."""
+    count and the smallest: an oracle independent of `binary`.  Since
+    f(-v) = f(v), the half box x > 0, or x = 0 < y, has the same values."""
     vals = {a * x * x + b * x * y + c * y * y
-            for x in range(-50, 51) for y in range(-50, 51) if x or y}
+            for x in range(1, 51) for y in range(-50, 51)}
+    vals.update(c * y * y for y in range(1, 51))
     hits = [-v for v in vals if -bound <= v <= 0]
     if not hits:
         return []

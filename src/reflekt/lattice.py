@@ -171,8 +171,10 @@ class Lattice:
         Complete within the box, deduplicated up to global sign (first
         nonzero coordinate positive).  Nothing is claimed outside the box.
         The last coordinate is solved from a quadratic instead of scanned,
-        so the cost is (2*box+1)**(rank-1) subproblems.
+        so the cost is (2*box+1)**(rank-1) subproblems, refused with
+        EffortLimitExceeded beyond DEFAULT_EFFORT_LIMIT.
         """
+        self.check_prefix_budget(box)
         r = self.rank
         a = self.gram[r - 1][r - 1]
         found = []

@@ -330,7 +330,7 @@ def cycle_oracle(f):
     """The cycle of reduced forms through f's reduced form, in rho order.
 
     Reduction and the rho step are the library's; what this checks is the
-    use made of the cycle (the ordered tuple the cycle cache used to hold).
+    use made of the cycle (the order the cycle record's positions follow).
     """
     from reflekt import binary as b
 
@@ -371,3 +371,47 @@ def mu_oracle(f):
         m -= 1
         assert m >= floor_val, (f, m, floor_val)
     return m
+
+
+def _mat2_mul_oracle(m1, m2):
+    return tuple(tuple(sum(m1[i][k] * m2[k][j] for k in range(2))
+                       for j in range(2)) for i in range(2))
+
+
+def _reduce_oracle(form, disc, sq):
+    """(reduced, M) with form∘M = reduced, multiplying the full rho step
+    matrices ((0, -1), (1, t)) one by one."""
+    from reflekt import binary as b
+
+    m = ((1, 0), (0, 1))
+    while not b._is_reduced(*form, sq):
+        form, t = b._rho(*form, disc, sq)
+        m = _mat2_mul_oracle(m, ((0, -1), (1, t)))
+    return form, m
+
+
+def witness_walk_oracle(f, m):
+    """One primitive solution of f = m != 0 per class (non-square D), by the
+    walk the library made before its cycle record stored the rho steps: for
+    each linearly scanned square root whose form reduces into f's cycle,
+    step from f's reduced form to that class's with `_rho`, multiplying the
+    step matrices, and map (1, 0) back through the reducing matrices."""
+    from reflekt import binary as b
+
+    disc, sq = f.disc, isqrt(f.disc)
+    f_red, p = _reduce_oracle((f.a, f.b, f.c), disc, sq)
+    cycle = cycle_oracle(f)
+    out = []
+    for r0 in sqrt_classes_oracle(disc, m):
+        g_red, q = _reduce_oracle((m, r0, (r0 * r0 - disc) // (4 * m)), disc, sq)
+        if g_red not in cycle:
+            continue
+        r, cur = ((1, 0), (0, 1)), f_red
+        while cur != g_red:
+            cur, t = b._rho(*cur, disc, sq)
+            r = _mat2_mul_oracle(r, ((0, -1), (1, t)))
+        det = q[0][0] * q[1][1] - q[0][1] * q[1][0]
+        q_inv = ((det * q[1][1], -det * q[0][1]), (-det * q[1][0], det * q[0][0]))
+        tot = _mat2_mul_oracle(_mat2_mul_oracle(p, r), q_inv)
+        out.append((tot[0][0], tot[1][0]))
+    return out

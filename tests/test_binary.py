@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from conftest import (brute_values, cycle_oracle, mu_oracle, pell_oracle,
                       primitive_oracle, representation_oracle_values,
-                      sqrt_classes_oracle, square_parts_oracle)
+                      sqrt_classes_oracle, square_parts_oracle,
+                      witness_walk_oracle)
 from reflekt import binary as b
+from reflekt.arith import divisors
 from reflekt.errors import (EffortLimitExceeded, InvalidInputError,
                             IsotropicFormError)
 
@@ -362,8 +364,12 @@ class TestFastPathsMatchOracles:
         if not b.is_anisotropic(f):
             return
         cycle = cycle_oracle(f)
-        assert b._cycle_of(f) == (frozenset(cycle),
-                                  frozenset(g[0] for g in cycle))
+        pos, leads, steps = b._reduction(f).cycle
+        assert list(pos) == cycle
+        assert [pos[g] for g in cycle] == list(range(len(cycle)))
+        assert leads == frozenset(g[0] for g in cycle)
+        disc, sq = f.disc, isqrt(f.disc)
+        assert steps == tuple(b._rho(*g, disc, sq)[1] for g in cycle)
 
     @given(indefinite_forms(), st.integers(-60, 60).filter(bool))
     @settings(max_examples=300, deadline=None)
@@ -371,7 +377,8 @@ class TestFastPathsMatchOracles:
         f = b.BinaryForm(*t)
         if not b.is_anisotropic(f):
             return
-        assert b._represents_primitively(f, n) == primitive_oracle(f, n)
+        assert b._represents_primitively(b._reduction(f), n) == \
+            primitive_oracle(f, n)
         assert b.represents(f, n) == any(
             primitive_oracle(f, m) for _, m in square_parts_oracle(n))
 
@@ -385,6 +392,55 @@ class TestFastPathsMatchOracles:
         f = b.BinaryForm(*t)
         if b.is_anisotropic(f):
             assert b.mu(f) == mu_oracle(f)
+
+    def test_mu_reads_c_star_or_searches_only_the_window(self, monkeypatch):
+        # c* is the largest negative leading coefficient of the cycle: with
+        # 4c*^2 < D mu must return it without any class search; otherwise
+        # the class search runs on the window (c*, -ceil(sqrt(D)/2)]
+        import random
+        rng = random.Random(9)
+        forms = [(1, 0, -d) for d in range(2, 150) if not b.is_square(d)]
+        while len(forms) < 250:
+            t = tuple(rng.randint(-30, 30) for _ in range(3))
+            if t[1] ** 2 - 4 * t[0] * t[2] > 0 and b.is_anisotropic(b.BinaryForm(*t)):
+                forms.append(t)
+
+        def no_class_search(*args):
+            raise AssertionError("class search ran in the c* branch")
+
+        mix = {"c_star": 0, "window": 0}
+        for t in forms:
+            f = b.BinaryForm(*t)
+            expected = mu_oracle(f)
+            c_star = max(g[0] for g in cycle_oracle(f) if g[0] < 0)
+            if 4 * c_star * c_star < f.disc:
+                mix["c_star"] += 1
+                with monkeypatch.context() as mp:
+                    mp.setattr(b, "_sqrt_classes_mod", no_class_search)
+                    assert b.mu(f) == expected == c_star, t
+            else:
+                mix["window"] += 1
+                assert b.mu(f) == expected, t
+        assert mix["c_star"] >= 100 and mix["window"] >= 30, mix
+
+    @given(indefinite_forms(), st.integers(-60, 60).filter(bool))
+    @example((1, 0, -8), -4)
+    @example((1, 0, -161), -7)
+    @example((3, 8, -7), -4)
+    @settings(max_examples=300, deadline=None)
+    def test_witnesses_match_the_matrix_walk(self, t, n):
+        f = b.BinaryForm(*t)
+        if not b.is_anisotropic(f):
+            return
+        red = b._reduction(f)
+        assert b._primitive_representation_witnesses(f, red, n) == \
+            witness_walk_oracle(f, n)
+        if t[1] % 2 == 0:
+            # every norm binary_roots tries
+            exponent = f.gram_lattice().discriminant().exponent
+            for d in divisors(2 * exponent):
+                assert b._primitive_representation_witnesses(f, red, -d) == \
+                    witness_walk_oracle(f, -d), (t, d)
 
     @given(st.integers(-10**7, 10**7).filter(bool))
     @example(2**12 * 3**6)

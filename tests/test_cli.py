@@ -90,6 +90,17 @@ class TestLatticeCommands:
         assert code == 0
         assert obj == {"vectors": [[2, -1], [2, 1]]}
 
+    def test_norm_vectors_past_the_effort_limit_are_refused(self, u3_file):
+        # 41^5 prefixes exceed the effort limit 10^6; the walk used to run
+        # through all of them
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "reflekt", "--format", "json", "lattice",
+             "norm-vectors", u3_file, "-n", "-2", "--box", "20"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout)["error"]["type"] == "EffortLimitExceeded"
+
 
 class TestBinaryCommands:
     def test_mu_text_and_json(self, capsys):

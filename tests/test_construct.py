@@ -61,6 +61,25 @@ class TestAvoidRoots:
             c.avoid_roots(1, 0)
 
 
+class TestBruteForceCheck:
+    def test_half_box_matches_the_full_box_scan(self):
+        import random
+        rng = random.Random(5)
+        # xy, -y^2 and -x^2 reach -2500 only on the edges of the box
+        cases = [(0, 1, 0, 2500), (0, -1, 0, 2500), (0, 0, -1, 2500),
+                 (-1, 0, 0, 2500)]
+        cases += [tuple(rng.randint(-20, 20) for _ in range(3)) + (rng.randint(0, 200),)
+                  for _ in range(150)]
+        found = 0
+        for a, b, cc, bound in cases:
+            hits = [-v for v in brute_values(a, b, cc, 50) if -bound <= v <= 0]
+            expected = [f"brute force found -k represented for {len(hits)} k in "
+                        f"0..{bound}, the smallest k = {min(hits)}"] if hits else []
+            assert c._brute_force_failures(a, b, cc, bound) == expected, (a, b, cc)
+            found += bool(hits)
+        assert found >= 30 and len(cases) - found >= 20, found
+
+
 class TestPellFamily:
     def test_examples(self):
         assert c.pell_family(3) == c.PellFamilyCertificate(3, 8, -4, (2, 1))

@@ -197,6 +197,12 @@ class TestSearchBudget:
         with pytest.raises(EffortLimitExceeded):
             rt.find_roots_in_box(lat, 500)  # 1001^2 > 10^6
 
+    def test_norm_vector_enumeration_is_refused(self):
+        with pytest.raises(EffortLimitExceeded):
+            self.U3.enumerate_norm_vectors(-2, 10)
+        with pytest.raises(EffortLimitExceeded):
+            dsum(U, diag(-2)).enumerate_norm_vectors(-2, 500)
+
     def test_definite_lattices_need_no_search(self):
         assert rt.reflectivity_indicator(diag(1, 1, 1, 1, 1, 1), 10).status \
             == rt.REFLECTIVE
