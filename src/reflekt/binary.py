@@ -15,8 +15,7 @@ coefficients, and the t of every rho step, whose matrix is
 ((0, -1), (1, t)).  Both cycle tests are then lookups, and a witness
 multiplies the stored steps from f's reduced form to its class's instead
 of walking the cycle again.  mu is the largest negative leading coefficient
-c* unless a class search on the few m between c* and -sqrt(D)/2 finds a
-larger value (see `mu`).
+of the cycle, read off the record (the proof is in `mu`).
 
 The square roots come from the factorisation of 4|m|: Tonelli-Shanks
 modulo each odd prime, a Hensel lift to each prime power, and CRT.  That
@@ -26,9 +25,7 @@ number of roots, where a scan of all residues would cost |m|.
 Square discriminants are handled by factoring the product of the two
 linear forms.  Imprimitive representations of n are primitive ones of
 n/t^2, taken over the square parts of n, which the factorisation of n
-lists.  Hence the largest negative represented value mu is always
-represented primitively (t^2 m represented implies m represented, and m
-is closer to 0), so mu needs only the primitive test.
+lists.
 """
 
 from __future__ import annotations
@@ -409,28 +406,47 @@ def representation_witness(f: BinaryForm, n: int):
 
 
 def mu(f: BinaryForm) -> int:
-    """Largest negative integer represented by f.
+    """Largest negative integer represented by f: c*, the largest negative
+    leading coefficient of f's cycle of reduced forms.
 
     Defined for anisotropic indefinite forms only; for isotropic binary
-    forms the maximum need not exist, so those are rejected.  mu is
-    represented primitively (see the module docstring), and so is the
-    largest negative leading coefficient c* of the cycle, so mu >= c*.
-    An m with 4m^2 < D is primitively represented iff it is a leading
-    coefficient, which no m in (c*, 0) is.  Hence mu = c* when 4c*^2 < D;
-    otherwise the class search runs on the window (c*, -k] only, where
-    k = ceil(sqrt(D)/2) is the least |m| with 4m^2 >= D, and mu is its first
-    represented m, or c* if it has none.
+    forms the maximum need not exist, so those are rejected.
+
+    Proof that mu = c*.  f takes the value c* at the first column of the
+    matrix carrying f to the cycle form (c*, b, c), so mu >= c*.  For the
+    converse let v be a lattice point with f(v) < 0.
+
+    1. D is not a square, so f's two asymptotes have irrational slopes:
+       they cut the plane into four open cones on which f has constant
+       sign, and hold no lattice point but 0.  On a cone C where f < 0,
+       -f = L1 L2 with real linear forms L1, L2 > 0 on C, so g = sqrt(-f)
+       is concave and positively homogeneous of degree 1 there.  Let K be
+       the convex hull of the lattice points of C.  Its boundary, the Klein
+       sail of C, is a broken line with lattice vertices and no infinite
+       edge (no lattice direction lies on an asymptote), and 0 is not in K,
+       since L1 + L2 >= 2 sqrt(-f) >= 2 at every lattice point of C.  So
+       the segment from 0 to v meets the sail at s v with 0 < s <= 1, on an
+       edge [w, w'], and g(v) = g(s v) / s >= g(s v) >= min(g(w), g(w')).
+       Hence |f| takes its minimum over the lattice points of C at a vertex.
+    2. The vertices of the sails of the two cones where f < 0 are, up to
+       sign, the first columns of the matrices carrying f to the forms of
+       its cycle with negative leading coefficient, and f takes those
+       coefficients there: Klein's geometric interpretation of continued
+       fractions (O. Karpenkov, Geometry of Continued Fractions, Springer
+       2013), applied to the cycle of rho steps (J. Buchmann and
+       U. Vollmer, Binary Quadratic Forms, Springer 2007).  So f(v) <= f(w)
+       <= c* for the vertex w of step 1.
+    3. The minimum is attained primitively.  A vertex w = t u with t >= 2
+       would lie strictly between the lattice points u and (t + 1) u of C,
+       and f(t u) = t^2 f(u) is farther from 0 than f(u) in any case.  So
+       mu is the value at a primitive vector, the first column above, and
+       the cycle record alone decides it: no square root, factorisation or
+       class search is needed.
     """
     if not is_anisotropic(f):
         raise IsotropicFormError(
             "mu is undefined for isotropic forms in this toolkit")
-    red = _reduction(f)
-    c_star = max(a for a in red.cycle[1] if a < 0)
-    # D is not a square, so sqrt(D)/2 is not an integer
-    for m in range(-(red.sq // 2 + 1), c_star, -1):
-        if next(_classes(red, m), None) is not None:
-            return m
-    return c_star
+    return max(a for a in _reduction(f).cycle[1] if a < 0)
 
 
 # -- automorphs and root norms ----------------------------------------------

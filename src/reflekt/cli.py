@@ -223,13 +223,7 @@ def _cmd_construct_nv(args):
 
 
 def _cmd_verify(args):
-    with open(args.certificate, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise serialize.CertificateError(
-                f"{args.certificate} is not valid JSON: {exc}") from None
-    failures = serialize.verify_certificate_obj(obj)
+    failures = serialize.verify_certificate_obj(serialize.load_json(args.certificate))
     if failures:
         _emit(args, {"valid": False, "failures": failures},
               "FAIL\n" + "\n".join(failures))
@@ -386,6 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # answers are exact integers of any length (a Pell unit can have
+    # thousands of digits): lift the interpreter's decimal digit limit
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         code = args.func(args)
     except ToolkitError as exc:
@@ -403,6 +401,8 @@ def main(argv=None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
     return 0 if code is None else code
 
 

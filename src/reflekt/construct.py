@@ -104,8 +104,9 @@ def validate_avoid_roots(cert: AvoidRootsCertificate) -> list[str]:
     """Re-run every invariant from scratch; returns a list of failures.
 
     Work is bounded by the size of the certificate, never by a stored
-    integer: the complete decision runs for k = 0..n only once the prime
-    list covers 1..n and the stored form is (1, 0, -ab).
+    integer: the complete decision, one `mu` call for all of -1..-n (0 is
+    represented iff ab is a square), runs only once the prime list covers
+    1..n and the stored form is (1, 0, -ab).
     """
     out = []
     if cert.n < 1 or cert.b < 1:
@@ -137,15 +138,16 @@ def validate_avoid_roots(cert: AvoidRootsCertificate) -> list[str]:
     if prod != cert.a:
         out.append(f"a = {cert.a} is not the product of the primes")
     ab = cert.a * cert.b
-    if binary.is_square(ab):
+    isotropic = binary.is_square(ab)
+    if isotropic:
         out.append(f"ab = {ab} is a square; the form is isotropic")
     form_ok = (cert.form.a, cert.form.b, cert.form.c) == (1, 0, -ab)
     if not form_ok:
         out.append("certificate form does not match (1, 0, -ab)")
-    if covered and form_ok:
-        for k in range(0, cert.n + 1):
-            if binary.represents(cert.form, -k):
-                out.append(f"form represents -{k}")
+    if covered and form_ok and not isotropic:
+        mu_val = binary.mu(cert.form)
+        if mu_val >= -cert.n:
+            out.append(f"mu = {mu_val} is not below {-cert.n}")
     out += _brute_force_failures(1, 0, -ab, cert.n)
     return out
 
@@ -229,7 +231,12 @@ class MjCertificate:
 
 
 def _h_complement(ambient: Lattice, h):
-    """(h, d = q(h), the h-complement, T = [ambient : complement + Zh])."""
+    """(h, d = q(h), the h-complement, T = [ambient : complement + Zh]).
+
+    The complement is a kernel, so it is saturated and equals
+    {v in Z^n : (v, h) = 0}: an integer vector lies in it iff it pairs to 0
+    with h, and is primitive there iff its entries have gcd 1.
+    """
     h = ambient._check_vector(h)
     g = gcd(*h)
     if g != 1:
@@ -256,15 +263,13 @@ def _find_isotropic(comp: Sublattice, search_box: int):
 
     Growing the box by one means the first nonempty search holds exactly
     the vectors of minimal coordinate size; ties break lexicographically.
-    Returns (ambient coordinates, coefficients over the sublattice basis).
+    Returns the vector in ambient coordinates.
     """
     restricted = comp.as_lattice()
     for box in range(1, search_box + 1):
         vs = restricted.enumerate_norm_vectors(0, box)
         if vs:
-            coeffs = vs[0]
-            ambient_v = intlinalg.mat_vec(intlinalg.transpose(comp.basis), coeffs)
-            return tuple(ambient_v), coeffs
+            return intlinalg.mat_vec(intlinalg.transpose(comp.basis), vs[0])
     raise ConstructionError(
         f"no isotropic vector found with coefficients up to {search_box}; "
         "raise the search box")
@@ -283,7 +288,7 @@ def _isotropic_partner(gram, comp: Sublattice, e, m: int):
     then a sum of rows with coefficients in {-1, 0, 1} has it.  If none
     does, every x with (e~, x) = 1 has odd norm and no partner exists.
     """
-    span = intlinalg.row_span_basis(
+    span = intlinalg.hermite_row_basis(
         tuple(tuple(m * x for x in row) for row in comp.basis) + (tuple(e),))
     sg = intlinalg.mat_mul(span, gram)
     over = intlinalg.mat_mul(sg, intlinalg.transpose(span))
@@ -349,10 +354,12 @@ def mj_family(ambient: Lattice, h, big_n: int, count: int,
     h, d, comp, t_index = _h_complement(ambient, h)
     threshold = big_n * t_index * t_index
 
-    e_ambient, e_coeffs = _find_isotropic(comp, search_box)
-    m = comp.as_lattice().divisibility(e_coeffs)
-    e_tilde = tuple(Fraction(x, m) for x in e_ambient)
-    f_tilde = _isotropic_partner(ambient.gram, comp, e_ambient, m)
+    e = _find_isotropic(comp, search_box)
+    # its divisibility in the complement: the gcd of its pairings with the
+    # complement's basis
+    m = gcd(*intlinalg.mat_vec(intlinalg.mat_mul(comp.basis, ambient.gram), e))
+    e_tilde = tuple(Fraction(x, m) for x in e)
+    f_tilde = _isotropic_partner(ambient.gram, comp, e, m)
 
     entries = []
     a = None
@@ -383,7 +390,7 @@ def mj_family(ambient: Lattice, h, big_n: int, count: int,
 
     return _validated(validate_mj, MjCertificate(
         ambient=ambient, h=h, d=d, big_n=big_n, strategy=strategy,
-        threshold=threshold, e=tuple(e_ambient), m=m, f_tilde=f_tilde,
+        threshold=threshold, e=e, m=m, f_tilde=f_tilde,
         t_index=t_index, entries=tuple(entries)))
 
 
@@ -437,15 +444,15 @@ def validate_mj(cert: MjCertificate) -> list[str]:
         out.append(f"ambient signature ({pos},{neg}) out of contract")
     if cert.ambient.norm(cert.e) != 0:
         out.append("e is not isotropic")
-    ecoords = comp.coordinates_of(cert.e)
-    if ecoords is None or any(c.denominator != 1 for c in ecoords):
+    # the complement is {v : (v, h) = 0}, read in ambient coordinates
+    if cert.ambient.evaluate(cert.e, cert.h) != 0:
         out.append("e does not lie in the h-complement")
     else:
-        ecoords = tuple(int(c) for c in ecoords)
-        if gcd(*ecoords) != 1:
+        if gcd(*cert.e) != 1:
             out.append("e is imprimitive in the h-complement")
-        if any(ecoords):  # the zero vector has no divisibility
-            m = comp.as_lattice().divisibility(ecoords)
+        if any(cert.e):  # the zero vector has no divisibility
+            m = gcd(*intlinalg.mat_vec(
+                intlinalg.mat_mul(comp.basis, cert.ambient.gram), cert.e))
             if m != cert.m:
                 out.append(f"stored m = {cert.m}, recomputed {m}")
     e_tilde = tuple(Fraction(x, cert.m) for x in cert.e)

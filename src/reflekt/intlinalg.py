@@ -258,7 +258,11 @@ def row_saturation(mat) -> IntMatrix:
 
 
 def row_span_basis(mat) -> IntMatrix:
-    """Canonical basis rows of the Z-span of the given rows (not saturated)."""
+    """Canonical basis rows of the Z-span of the given rows (not saturated).
+
+    An alias of `hermite_row_basis`, which library code calls; it stays only
+    because `perfbench/workloads.py::_ENTRY_POINTS` names it.
+    """
     return hermite_row_basis(mat)
 
 

@@ -13,6 +13,7 @@ an integer) with CertificateError.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -144,13 +145,30 @@ def lattice_from_obj(obj) -> Lattice:
 _LATTICE = _Codec(lattice_to_obj, lattice_from_obj)
 
 
-def load_lattice(path: str) -> Lattice:
+def _json_int(digits: str) -> int:
+    # decimal parsing costs time quadratic in the length, so integers read
+    # keep the interpreter's default digit limit even where it is lifted
+    limit = sys.int_info.default_max_str_digits
+    if len(digits.lstrip("-")) > limit:
+        raise ValueError(f"an integer has more than {limit} digits")
+    return int(digits)
+
+
+def load_json(path: str):
+    """The parsed content of a JSON file.
+
+    Content that does not parse raises CertificateError: bad JSON, bytes
+    that are not UTF-8 and overlong integers all raise ValueError here.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh, parse_int=_json_int)
+        except ValueError as exc:
             raise CertificateError(f"{path} is not valid JSON: {exc}") from None
-    return lattice_from_obj(obj)
+
+
+def load_lattice(path: str) -> Lattice:
+    return lattice_from_obj(load_json(path))
 
 
 # -- certificates -------------------------------------------------------------

@@ -253,7 +253,7 @@ def isotropic_partner_oracle(gram, comp, e, m, box=2):
 
     scaled = tuple(tuple(m * x for x in row) for row in comp.basis) + (tuple(e),)
     basis = [tuple(Fraction(x, m) for x in row)
-             for row in intlinalg.row_span_basis(scaled)]
+             for row in intlinalg.hermite_row_basis(scaled)]
     e_tilde = tuple(Fraction(x, m) for x in e)
     pairings = []
     for row in basis:

@@ -273,10 +273,11 @@ class TestMu:
         with pytest.raises(IsotropicFormError):
             b.mu(b.BinaryForm.from_d(9))
 
-    # mu runs only the primitive test; `represents`, which also tries every
-    # imprimitive part, is the oracle.  x^2 - 8y^2, x^2 - 24y^2, the a^2 - 1
-    # cases 35 and 99 and the three odd-middle forms have 4 mu^2 >= D, so
-    # their mu is found by the class search, not among cycle coefficients.
+    # mu reads c* off the cycle; `represents`, which runs the class search
+    # on every value and every imprimitive part, is the oracle.  x^2 - 8y^2,
+    # x^2 - 24y^2, the a^2 - 1 cases 35 and 99 and the three odd-middle
+    # forms have 4 mu^2 >= D, where only the Klein-sail proof in `mu` rules
+    # out a represented value between c* and 0.
     @given(indefinite_forms())
     @example((1, 0, -2))
     @example((1, 0, -7))
@@ -393,10 +394,22 @@ class TestFastPathsMatchOracles:
         if b.is_anisotropic(f):
             assert b.mu(f) == mu_oracle(f)
 
-    def test_mu_reads_c_star_or_searches_only_the_window(self, monkeypatch):
-        # c* is the largest negative leading coefficient of the cycle: with
-        # 4c*^2 < D mu must return it without any class search; otherwise
-        # the class search runs on the window (c*, -ceil(sqrt(D)/2)]
+    @staticmethod
+    def _forbid_class_search(mp):
+        def no_class_search(*args):
+            raise AssertionError("mu ran a class search")
+
+        for name in ("_classes", "_sqrt_classes_mod", "factorize"):
+            mp.setattr(b, name, no_class_search)
+
+    @staticmethod
+    def _c_star(f):
+        return max(g[0] for g in cycle_oracle(f) if g[0] < 0)
+
+    def test_mu_reads_c_star_without_a_class_search(self, monkeypatch):
+        # c* is the largest negative leading coefficient of the cycle; mu
+        # must return it with no square roots, factoring or class search,
+        # also on the window forms, those with 4c*^2 >= D
         import random
         rng = random.Random(9)
         forms = [(1, 0, -d) for d in range(2, 150) if not b.is_square(d)]
@@ -405,23 +418,37 @@ class TestFastPathsMatchOracles:
             if t[1] ** 2 - 4 * t[0] * t[2] > 0 and b.is_anisotropic(b.BinaryForm(*t)):
                 forms.append(t)
 
-        def no_class_search(*args):
-            raise AssertionError("class search ran in the c* branch")
-
-        mix = {"c_star": 0, "window": 0}
+        window = 0
         for t in forms:
             f = b.BinaryForm(*t)
             expected = mu_oracle(f)
-            c_star = max(g[0] for g in cycle_oracle(f) if g[0] < 0)
-            if 4 * c_star * c_star < f.disc:
-                mix["c_star"] += 1
-                with monkeypatch.context() as mp:
-                    mp.setattr(b, "_sqrt_classes_mod", no_class_search)
-                    assert b.mu(f) == expected == c_star, t
-            else:
-                mix["window"] += 1
-                assert b.mu(f) == expected, t
-        assert mix["c_star"] >= 100 and mix["window"] >= 30, mix
+            c_star = self._c_star(f)
+            window += 4 * c_star * c_star >= f.disc
+            with monkeypatch.context() as mp:
+                self._forbid_class_search(mp)
+                assert b.mu(f) == expected == c_star, t
+        assert len(forms) - window >= 100 and window >= 30, window
+
+    def test_mu_on_window_forms(self, monkeypatch):
+        # window forms are rare among random forms (about 1 in 150 with
+        # coefficients up to 100), so draw until 120 of them are found
+        import random
+        rng = random.Random(10)
+        forms = []
+        while len(forms) < 120:
+            t = tuple(rng.randint(-100, 100) for _ in range(3))
+            disc = t[1] ** 2 - 4 * t[0] * t[2]
+            if disc <= 0 or b.is_square(disc):
+                continue
+            f = b.BinaryForm(*t)
+            c_star = self._c_star(f)
+            if 4 * c_star * c_star >= f.disc:
+                forms.append((f, c_star))
+        for f, c_star in forms:
+            with monkeypatch.context() as mp:
+                self._forbid_class_search(mp)
+                got = b.mu(f)
+            assert got == mu_oracle(f) == c_star, f
 
     @given(indefinite_forms(), st.integers(-60, 60).filter(bool))
     @example((1, 0, -8), -4)

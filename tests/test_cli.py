@@ -9,7 +9,8 @@ import pytest
 from conftest import ITEM2_GRAM
 from reflekt.binary import BinaryForm, representation_witness
 from reflekt.cli import main
-from reflekt.serialize import dumps, lattice_to_obj
+from reflekt.errors import CertificateError
+from reflekt.serialize import dumps, lattice_to_obj, load_lattice
 from reflekt.lattice import Lattice
 
 U = Lattice.hyperbolic_plane()
@@ -36,6 +37,23 @@ def u3_file(tmp_path):
     path = tmp_path / "u3.json"
     path.write_text(dumps(lattice_to_obj(u3)))
     return str(path)
+
+
+def cli(*argv):
+    """`reflekt <argv>` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "reflekt", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def unlimited(parse, text):
+    """parse(text) with the interpreter's decimal digit limit lifted."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return parse(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def run(capsys, *argv):
@@ -159,6 +177,25 @@ class TestBinaryCommands:
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 1, proc.stderr
         assert json.loads(proc.stdout)["error"]["type"] == "EffortLimitExceeded"
+
+    @pytest.mark.parametrize("command,fmt", [("pell", "text"), ("pell", "json"),
+                                             ("isometry", "text"), ("isometry", "json")])
+    def test_answers_past_the_digit_limit_are_printed_exactly(self, command, fmt):
+        # the fundamental unit for 10000141 has 4 911 digits, past the
+        # interpreter's default limit of 4 300 for int-to-str conversion
+        d = 10000141
+        proc = cli("--format", fmt, "binary", command, "-D", str(d))
+        assert proc.returncode == 0, proc.stderr
+        if fmt == "json":
+            obj = unlimited(json.loads, proc.stdout)
+            x, y = (obj["x"], obj["y"]) if command == "pell" else \
+                (obj["matrix"][0][0], obj["matrix"][1][0])
+        else:
+            rows = [unlimited(lambda r: [int(v) for v in r.split(",")], line)
+                    for line in proc.stdout.split()]
+            x, y = rows[0] if command == "pell" else (rows[0][0], rows[1][0])
+        assert x * x - d * y * y == 1
+        assert x > 10**4300
 
     def test_domain_error_is_exit_1_with_json_object(self, capsys):
         code, out = run(capsys, "--format", "json", "binary", "mu", "-D", "9")
@@ -330,3 +367,39 @@ class TestOutputContracts:
         code, out = run(capsys, "--format", "json", "lattice", "info", str(path))
         assert code == 1
         assert json.loads(out)["error"]["type"] == "DegenerateLatticeError"
+
+
+class TestUnreadableInput:
+    """Input that does not parse is a CertificateError, never a traceback."""
+
+    @pytest.mark.parametrize("command", [("lattice", "info"), ("verify",)])
+    def test_non_utf8_file(self, tmp_path, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"gram": [[1]]}\xff')
+        text = cli(*command, str(path))
+        assert text.returncode == 1
+        assert text.stderr.startswith(f"error: {path} is not valid JSON: ")
+        assert len(text.stderr.splitlines()) == 1
+        proc = cli("--format", "json", *command, str(path))
+        assert proc.returncode == 1, proc.stderr
+        assert len(proc.stdout.splitlines()) == 1
+        err = json.loads(proc.stdout)["error"]
+        assert err["type"] == "CertificateError"
+        assert err["message"].startswith(f"{path} is not valid JSON: ")
+
+    @pytest.mark.parametrize("command", [("lattice", "info"), ("verify",)])
+    def test_overlong_integer(self, tmp_path, command):
+        # past 4 300 digits decimal parsing slows quadratically: refused
+        path = tmp_path / "big.json"
+        path.write_text('{"gram": [[' + "7" * 5000 + ", 0], [0, -1]]}")
+        proc = cli("--format", "json", *command, str(path))
+        assert proc.returncode == 1, proc.stderr
+        err = json.loads(proc.stdout)["error"]
+        assert err == {"type": "CertificateError", "message":
+                       f"{path} is not valid JSON: an integer has more than 4300 digits"}
+        with pytest.raises(CertificateError, match="more than 4300 digits"):
+            load_lattice(str(path))
+        path.write_text('{"gram": [[' + "7" * 4300 + ", 0], [0, -1]]}")
+        proc = cli("--format", "json", *command, str(path))
+        assert proc.returncode == (0 if command == ("lattice", "info") else 1)
+        assert "Traceback" not in proc.stderr

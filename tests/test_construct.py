@@ -49,6 +49,19 @@ class TestAvoidRoots:
         failures = c.validate_avoid_roots(bad)
         assert failures  # 5 fails the residue condition for k=1
 
+    def test_one_mu_call_decides_the_range(self, monkeypatch):
+        # x^2 - 6y^2 represents -2 (2^2 - 6): one mu call reports it, and
+        # the per-value decision is never asked
+        def no_represents(*args):
+            raise AssertionError("validate_avoid_roots called represents")
+
+        monkeypatch.setattr(binary, "represents", no_represents)
+        bad = c.AvoidRootsCertificate(
+            n=2, b=1, primes=((1, 2), (2, 3)), a=6, form=binary.BinaryForm.from_d(6))
+        assert "mu = -2 is not below -2" in c.validate_avoid_roots(bad)
+        for n in range(1, 4):
+            assert c.validate_avoid_roots(c.avoid_roots(n, 2)) == []
+
     def test_exclusion_grows_a(self):
         c1 = c.avoid_roots(2, 1)
         c2 = c.avoid_roots(2, 1, exclude=frozenset(p for _, p in c1.primes))
@@ -233,8 +246,8 @@ def _partner_outcome(find, name, h):
     """find's f~ for the isotropic e that mj_family picks, or its error type."""
     lat = PARTNER_AMBIENTS[name]
     _, _, comp, _ = c._h_complement(lat, h)
-    e, coeffs = c._find_isotropic(comp, c.DEFAULT_SEARCH_BOX)
-    m = comp.as_lattice().divisibility(coeffs)
+    e = c._find_isotropic(comp, c.DEFAULT_SEARCH_BOX)
+    m = comp.as_lattice().divisibility(_coordinates_in(comp, e))
     try:
         return find(lat.gram, comp, e, m)
     except ToolkitError as exc:
@@ -265,6 +278,68 @@ class TestIsotropicPartner:
         outcomes = [_partner_outcome(c._isotropic_partner, *case)
                     for case in _partner_cases()]
         assert 0 < outcomes.count(ConstructionError) < len(shifts) < len(outcomes)
+
+
+def _coordinates_in(comp, e):
+    """e's integer coordinates over comp's basis by a rational solve, or None."""
+    coords = comp.coordinates_of(e)
+    if coords is None or any(x.denominator != 1 for x in coords):
+        return None
+    return tuple(int(x) for x in coords)
+
+
+def _e_failures_by_coordinates(cert):
+    """validate_mj's checks of e through its coordinates over the
+    complement's basis and the complement's own Gram matrix."""
+    _, _, comp, _ = c._h_complement(cert.ambient, cert.h)
+    coords = _coordinates_in(comp, cert.e)
+    if coords is None:
+        return ["e does not lie in the h-complement"]
+    out = []
+    if gcd(*coords) != 1:
+        out.append("e is imprimitive in the h-complement")
+    if any(coords):
+        m = comp.as_lattice().divisibility(coords)
+        if m != cert.m:
+            out.append(f"stored m = {cert.m}, recomputed {m}")
+    return out
+
+
+E_CHECKS = ("e does not lie", "e is imprimitive", "stored m = ")
+
+
+class TestEInAmbientCoordinates:
+    """validate_mj reads e in ambient coordinates; the rational solve over
+    the complement's basis is the oracle, on tampered values of e."""
+
+    @pytest.mark.parametrize("ambient,h", [
+        (U3, H),
+        (dsum(U.rescale(2), U.rescale(2), U.rescale(2)), H),  # m = 2
+        (diag(1, 1, 1, -1, -1, -1), (1, 0, 0, 0, 0, 0)),
+    ])
+    def test_tampered_e_matches_the_coordinate_route(self, ambient, h):
+        import random
+        cert = replace(c.mj_family(ambient, h, 1, 1), entries=())
+        _, _, comp, _ = c._h_complement(ambient, h)
+        rng = random.Random(11)
+        r = ambient.rank
+        es = [cert.e, (0,) * r]
+        es += [tuple(k * x for x in cert.e) for k in (-1, 2, 3, -6)]
+        es += [tuple(x + (i == j) for j, x in enumerate(cert.e)) for i in range(r)]
+        for _ in range(40):
+            es.append(tuple(rng.randint(-4, 4) for _ in range(r)))
+            coeffs = [rng.randint(-3, 3) for _ in comp.basis]
+            es.append(tuple(sum(k * row[j] for k, row in zip(coeffs, comp.basis))
+                            for j in range(r)))
+        seen = set()
+        for e in es:
+            bad = replace(cert, e=e)
+            got = [f for f in c.validate_mj(bad) if f.startswith(E_CHECKS)]
+            want = _e_failures_by_coordinates(bad)
+            assert got == want, e
+            seen.update(p for p in E_CHECKS for line in want if line.startswith(p))
+        # off the complement, imprimitive, and a wrong divisibility all occur
+        assert seen == set(E_CHECKS)
 
 
 class TestValidateMjMalformed:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import (U, brute_roots, charpoly_signature,
+from conftest import (U, box_vectors_oracle, brute_roots, charpoly_signature,
                       determinantal_divisor_oracle, diag, dsum, factorize_oracle)
 from reflekt import roots as rt
 from reflekt.errors import (DegenerateLatticeError, EffortLimitExceeded,
@@ -17,7 +17,7 @@ class TestIsRoot:
 
     def test_small_norms_are_automatic(self, battery12):
         for lat in battery12:
-            for v, q in lat.box_vectors(3):
+            for v, q in box_vectors_oracle(lat.gram, 3):
                 if q in (-1, -2):
                     from math import gcd
                     g = 0
@@ -48,8 +48,9 @@ class TestReflect:
 
     def test_involution_preserves_norm(self, battery12):
         for lat in battery12:
+            vectors = box_vectors_oracle(lat.gram, 2)
             for v in rt.find_roots_in_box(lat, 4):
-                for u, qu in lat.box_vectors(2):
+                for u, qu in vectors:
                     image = rt.reflect(lat, v, u)
                     assert lat.norm(image) == qu
                     assert rt.reflect(lat, v, image) == u
