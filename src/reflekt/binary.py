@@ -21,6 +21,9 @@ The square roots come from the factorisation of 4|m|: Tonelli-Shanks
 modulo each odd prime, a Hensel lift to each prime power, and CRT.  That
 costs trial division up to sqrt(4|m|) plus work in proportion to the
 number of roots, where a scan of all residues would cost |m|.
+`binary_roots` needs none of them: only the classes with b = 0 mod |m|
+hold roots (the lemma is in its docstring), b = 0 and b = |m|, one
+congruence test each.
 
 Square discriminants are handled by factoring the product of the two
 linear forms.  Imprimitive representations of n are primitive ones of
@@ -113,21 +116,24 @@ class CFExpansion:
 
 
 def cf_sqrt(d: int) -> CFExpansion:
-    """Canonical periodic continued fraction expansion of sqrt(d)."""
+    """Canonical periodic continued fraction expansion of sqrt(d); a period
+    longer than _CYCLE_CAP terms raises EffortLimitExceeded."""
     if d <= 0 or is_square(d):
         raise InvalidInputError(f"d must be a positive non-square, got {d}")
     a0 = isqrt(d)
     m, q, a = 0, 1, a0
     period, qs = [], []
-    while True:
+    for _ in range(_CYCLE_CAP):
         m = a * q - m
         q = (d - m * m) // q
         a = (a0 + m) // q
         period.append(a)
         qs.append(q)
         if a == 2 * a0 and q == 1:
-            break
-    return CFExpansion(d=d, a0=a0, period=tuple(period), q_sequence=tuple(qs))
+            return CFExpansion(d=d, a0=a0, period=tuple(period),
+                               q_sequence=tuple(qs))
+    raise EffortLimitExceeded(
+        f"the period of sqrt({d}) is longer than {_CYCLE_CAP} terms")
 
 
 @dataclass(frozen=True)
@@ -330,12 +336,12 @@ def represents(f: BinaryForm, n: int) -> bool:
     return any(_represents_primitively(red, m) for _, m in _square_parts(n))
 
 
-def _classes(red: _Reduction, m: int):
-    """The class search: (reduced, M) with (m, b, c)∘M = reduced for each square
-    root b of D mod 4|m| whose form reduces into f's cycle (m != 0)."""
+def _classes(red: _Reduction, m: int, bs):
+    """The class search: (reduced, M) with (m, b, c)∘M = reduced for each b in
+    bs, square roots of D mod 4|m|, whose form reduces into f's cycle (m != 0)."""
     disc, sq = red.disc, red.sq
     pos = red.cycle[0]
-    for b in _sqrt_classes_mod(disc, m):
+    for b in bs:
         c = (b * b - disc) // (4 * m)
         reduced, q = _reduce_form((m, b, c), disc, sq)
         if reduced in pos:
@@ -346,7 +352,7 @@ def _represents_primitively(red: _Reduction, m: int) -> bool:
     """Primitive representation decision for m != 0."""
     if 4 * m * m < red.disc:
         return m in red.cycle[1]
-    return next(_classes(red, m), None) is not None
+    return next(_classes(red, m, _sqrt_classes_mod(red.disc, m)), None) is not None
 
 
 def _square_disc_solutions(f: BinaryForm, n: int):
@@ -480,23 +486,24 @@ def _apply(m, v):
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
 
 
-def _canonical_witness(f: BinaryForm, v):
-    """Deterministic representative of the automorph orbit of v (up to sign).
+def _canonical_witness(auto, v):
+    """Deterministic representative of the orbit of v (up to sign) under the
+    fundamental automorph auto, or of v alone when auto is None (square
+    discriminant).
 
     Walks the orbit to minimal coordinate size, then takes the
     lexicographically largest among the minimal vectors and their
     negatives.
     """
-    if is_square(f.disc):
+    if auto is None:
         return max(v, (-v[0], -v[1]))
-    m = fundamental_automorph(f)
-    minv = _mat2_inv_unimodular(m)
+    minv = _mat2_inv_unimodular(auto)
 
     def key(w):
         return (abs(w[0]) + abs(w[1]), abs(w[0]), abs(w[1]))
 
     cur = v
-    for step in (m, minv):
+    for step in (auto, minv):
         while True:
             nxt = _apply(step, cur)
             if key(nxt) < key(cur):
@@ -504,7 +511,7 @@ def _canonical_witness(f: BinaryForm, v):
             else:
                 break
     cands = {cur}
-    for step in (m, minv):
+    for step in (auto, minv):
         w = cur
         for _ in range(2):
             w = _apply(step, w)
@@ -515,35 +522,44 @@ def _canonical_witness(f: BinaryForm, v):
     return best
 
 
+def _class_witness(f: BinaryForm, red: _Reduction, m: int, g_red, q):
+    """The primitive solution of f = m of the class (m, b, c) with
+    (m, b, c)∘q = g_red in f's cycle: the first column of p r q^-1, where
+    f∘p is f's reduced form and r the product of the stored steps from it
+    (index 0) to g_red, accumulated by columns as in _reduce_form."""
+    pos, _, steps = red.cycle
+    r00, r01, r10, r11 = 1, 0, 0, 1
+    for i in range(pos[g_red]):
+        t = steps[i]
+        r00, r01 = r01, t * r01 - r00
+        r10, r11 = r11, t * r11 - r10
+    r = ((r00, r01), (r10, r11))
+    tot = _mat2_mul(_mat2_mul(red.p, r), _mat2_inv_unimodular(q))
+    v = (tot[0][0], tot[1][0])
+    if f.value(*v) != m or gcd(v[0], v[1]) != 1:
+        raise InternalCheckError(
+            f"transform produced a bad witness {v} for {m}")
+    return v
+
+
 def _primitive_representation_witnesses(f: BinaryForm, red, m: int):
     """One primitive solution of f = m per proper-automorphism class.
 
     red is f's `_Reduction`, or None for a square discriminant, where the
     solution set itself is finite and is returned whole.
     """
-    out = []
     if red is None:
-        for v in sorted(_square_disc_solutions(f, m)):
-            if gcd(v[0], v[1]) == 1:
-                out.append(v)
-        return out
-    pos, _, steps = red.cycle
-    for g_red, q in _classes(red, m):
-        # the product r of the step matrices from f_red (index 0) to g_red,
-        # accumulated by columns as in _reduce_form
-        r00, r01, r10, r11 = 1, 0, 0, 1
-        for i in range(pos[g_red]):
-            t = steps[i]
-            r00, r01 = r01, t * r01 - r00
-            r10, r11 = r11, t * r11 - r10
-        r = ((r00, r01), (r10, r11))
-        tot = _mat2_mul(_mat2_mul(red.p, r), _mat2_inv_unimodular(q))
-        v = (tot[0][0], tot[1][0])
-        if f.value(*v) != m or gcd(v[0], v[1]) != 1:
-            raise InternalCheckError(
-                f"transform produced a bad witness {v} for {m}")
-        out.append(v)
-    return out
+        return [v for v in sorted(_square_disc_solutions(f, m))
+                if gcd(v[0], v[1]) == 1]
+    return [_class_witness(f, red, m, *cls)
+            for cls in _classes(red, m, _sqrt_classes_mod(red.disc, m))]
+
+
+def _gram_exponent(a: int, h: int, c: int) -> int:
+    """Exponent of the discriminant group of the nondegenerate Gram matrix
+    ((a, h), (h, c)): its invariant factors are g = gcd(a, h, c), the gcd
+    of the 1x1 minors, and |ac - h^2| / g."""
+    return abs(a * c - h * h) // gcd(a, h, c)
 
 
 def binary_roots(f: BinaryForm):
@@ -553,15 +569,44 @@ def binary_roots(f: BinaryForm):
     makes the candidate set finite; within a norm, the divisibility
     condition is invariant under the orthogonal group, so one test per
     representation class decides it.
+
+    Lemma: only the classes with b = 0 mod |m| hold roots.  Let M be
+    unimodular with first column v and f∘M = (m, b, c).  The pairings of v
+    with the basis M are (m, b/2), so div(v) = gcd(m, b/2), and v is a root
+    iff m | 2 gcd(m, b/2), that is, iff m | b.  The class fixes b modulo
+    2|m|, so of the square roots b in [0, 2|m|) of D mod 4|m| only 0 and |m|
+    can carry a root; each takes one congruence test, with no
+    factorisation.  The first of them, in increasing b, whose form reduces
+    into f's cycle is the first class that passes the root test, and when
+    4m^2 < D and m is not a leading coefficient of the cycle, m has no
+    class at all.  The automorph that makes the witnesses canonical is
+    computed once, at the first root.
     """
     lat = f.gram_lattice()
-    exponent = lat.discriminant().exponent
-    red = None if is_square(f.disc) else _reduction(f)
+    exponent = _gram_exponent(f.a, f.b // 2, f.c)
     out = []
+    if is_square(f.disc):
+        for d in divisors(2 * exponent):
+            v = next((v for v in _primitive_representation_witnesses(f, None, -d)
+                      if 2 * lat.divisibility(v) % d == 0), None)
+            if v is not None:
+                out.append((-d, _canonical_witness(None, v)))
+        return tuple(out)
+    red = _reduction(f)
+    auto = None
     for d in divisors(2 * exponent):
         m = -d
-        for v in _primitive_representation_witnesses(f, red, m):
-            if 2 * lat.divisibility(v) % m == 0:
-                out.append((m, _canonical_witness(f, v)))
-                break
+        if 4 * d * d < red.disc and m not in red.cycle[1]:
+            continue
+        bs = [b for b in (0, d) if (b * b - red.disc) % (4 * d) == 0]
+        cls = next(_classes(red, m, bs), None)
+        if cls is None:
+            continue
+        v = _class_witness(f, red, m, *cls)
+        if 2 * lat.divisibility(v) % m:
+            raise InternalCheckError(
+                f"the witness {v} of a root class of norm {m} is not a root")
+        if auto is None:
+            auto = fundamental_automorph(f)
+        out.append((m, _canonical_witness(auto, v)))
     return tuple(out)

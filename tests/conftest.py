@@ -390,12 +390,13 @@ def _reduce_oracle(form, disc, sq):
     return form, m
 
 
-def witness_walk_oracle(f, m):
-    """One primitive solution of f = m != 0 per class (non-square D), by the
-    walk the library made before its cycle record stored the rho steps: for
-    each linearly scanned square root whose form reduces into f's cycle,
-    step from f's reduced form to that class's with `_rho`, multiplying the
-    step matrices, and map (1, 0) back through the reducing matrices."""
+def class_walk_oracle(f, m):
+    """(b, v) for each class of primitive solutions of f = m != 0 (non-square
+    D): b runs over the linearly scanned square roots whose form (m, b, c)
+    reduces into f's cycle, and v is found by the walk the library made
+    before its cycle record stored the rho steps: step from f's reduced form
+    to that class's with `_rho`, multiplying the step matrices, and map
+    (1, 0) back through the reducing matrices."""
     from reflekt import binary as b
 
     disc, sq = f.disc, isqrt(f.disc)
@@ -413,5 +414,45 @@ def witness_walk_oracle(f, m):
         det = q[0][0] * q[1][1] - q[0][1] * q[1][0]
         q_inv = ((det * q[1][1], -det * q[0][1]), (-det * q[1][0], det * q[0][0]))
         tot = _mat2_mul_oracle(_mat2_mul_oracle(p, r), q_inv)
-        out.append((tot[0][0], tot[1][0]))
+        out.append((r0, (tot[0][0], tot[1][0])))
     return out
+
+
+def witness_walk_oracle(f, m):
+    """One primitive solution of f = m != 0 per class (non-square D), in the
+    order of `class_walk_oracle`."""
+    return [v for _, v in class_walk_oracle(f, m)]
+
+
+def gram_divisibility_oracle(a, h, c, v):
+    """gcd of the pairings of v with the basis, for the Gram ((a, h), (h, c))."""
+    return gcd(a * v[0] + h * v[1], h * v[0] + c * v[1])
+
+
+def binary_roots_oracle(f):
+    """binary_roots by the algorithm the library used before it tested only
+    the classes b = 0 mod |m|: for every divisor d of 2e (by a scan), the
+    witness of every class from `witness_walk_oracle` over all square roots
+    (the sorted primitive solutions for a square D), the divisibility test on
+    each, and the first class that passes, made canonical by the library's
+    `_canonical_witness`.  e comes from the Hermite route, Lattice.discriminant."""
+    from reflekt import binary as b
+
+    a, h, c = f.a, f.b // 2, f.c
+    two_e = 2 * f.gram_lattice().discriminant().exponent
+    square = b.is_square(f.disc)
+    auto = None if square else b.fundamental_automorph(f)
+    out = []
+    for d in range(1, two_e + 1):
+        if two_e % d:
+            continue
+        if square:
+            cands = sorted(v for v in b._square_disc_solutions(f, -d)
+                           if gcd(v[0], v[1]) == 1)
+        else:
+            cands = witness_walk_oracle(f, -d)
+        for v in cands:
+            if 2 * gram_divisibility_oracle(a, h, c, v) % d == 0:
+                out.append((-d, b._canonical_witness(auto, v)))
+                break
+    return tuple(out)

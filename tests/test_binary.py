@@ -4,12 +4,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_values, cycle_oracle, mu_oracle, pell_oracle,
-                      primitive_oracle, representation_oracle_values,
-                      sqrt_classes_oracle, square_parts_oracle,
-                      witness_walk_oracle)
+from conftest import (binary_roots_oracle, brute_values, class_walk_oracle,
+                      cycle_oracle, gram_divisibility_oracle, mu_oracle,
+                      pell_oracle, primitive_oracle,
+                      representation_oracle_values, sqrt_classes_oracle,
+                      square_parts_oracle, witness_walk_oracle)
 from reflekt import binary as b
 from reflekt.arith import divisors
+from reflekt.lattice import Lattice
 from reflekt.errors import (EffortLimitExceeded, InvalidInputError,
                             IsotropicFormError)
 
@@ -20,6 +22,28 @@ def indefinite_forms(entry=12):
     return st.tuples(st.integers(-entry, entry), st.integers(-entry, entry),
                      st.integers(-entry, entry)).filter(
         lambda t: t[1] * t[1] - 4 * t[0] * t[2] > 0)
+
+
+def even_middle_forms(entry=30):
+    """Indefinite (a, 2h, c), isotropic ones drawn as products of two
+    linear forms."""
+    general = st.tuples(st.integers(-entry, entry), st.integers(-entry, entry),
+                        st.integers(-entry, entry)).filter(
+        lambda t: t[1] * t[1] > t[0] * t[2]).map(lambda t: (t[0], 2 * t[1], t[2]))
+    small = st.integers(-6, 6)
+    isotropic = st.tuples(small, small, small, small).map(
+        lambda t: (t[0] * t[2], t[0] * t[3] + t[1] * t[2], t[1] * t[3])).filter(
+        lambda t: t[1] % 2 == 0 and t[1] * t[1] > 4 * t[0] * t[2])
+    return st.one_of(general, isotropic)
+
+
+def random_even_middle_forms(rng, count, entry):
+    out = []
+    while len(out) < count:
+        a, h, c = (rng.randint(-entry, entry) for _ in range(3))
+        if h * h > a * c and not b.is_square(h * h - a * c):
+            out.append((a, 2 * h, c))
+    return out
 
 
 class TestBinaryForm:
@@ -549,6 +573,76 @@ class TestBinaryRoots:
     def test_rootless_example(self):
         assert b.binary_roots(b.BinaryForm(3, 8, -7)) == ()
 
+    @given(even_middle_forms())
+    @example((1, 0, -8))
+    @example((3, 8, -7))
+    @example((0, 2, 0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_all_classes_oracle(self, t):
+        f = b.BinaryForm(*t)
+        assert b.binary_roots(f) == binary_roots_oracle(f), t
+
+    def test_root_classes_are_those_with_b_divisible_by_m(self):
+        # the lemma of binary_roots: a class (m, b, c) of f's cycle holds a
+        # root iff |m| divides b, on every class of every candidate norm
+        import random
+        rng = random.Random(11)
+        seen = set()
+        for t in random_even_middle_forms(rng, 120, 12):
+            f = b.BinaryForm(*t)
+            a, h, c = t[0], t[1] // 2, t[2]
+            for d in divisors(2 * f.gram_lattice().discriminant().exponent):
+                for r0, v in class_walk_oracle(f, -d):
+                    is_root = 2 * gram_divisibility_oracle(a, h, c, v) % d == 0
+                    assert is_root == (r0 % d == 0), (t, d, r0, v)
+                    seen.add(is_root)
+        assert seen == {True, False}
+
+    def test_no_square_roots_and_one_automorph(self, monkeypatch):
+        # on a non-square D the root classes b in {0, |m|} need one
+        # congruence test each: no square roots mod 4|m|, no factorisation,
+        # and one automorph however many roots there are
+        import random
+        rng = random.Random(12)
+        forms = [(1, 0, -d) for d in range(2, 120) if not b.is_square(d)]
+        forms += random_even_middle_forms(rng, 150, 40)
+        expected = {t: binary_roots_oracle(b.BinaryForm(*t)) for t in forms}
+        calls = []
+        automorph = b.fundamental_automorph
+
+        def counted(f):
+            calls.append(f)
+            return automorph(f)
+
+        def forbidden(*args):
+            raise AssertionError("binary_roots ran a square-root class search")
+
+        many = 0
+        for t in forms:
+            calls.clear()
+            with monkeypatch.context() as mp:
+                for name in ("_sqrt_classes_mod", "factorize"):
+                    mp.setattr(b, name, forbidden)
+                mp.setattr(b, "fundamental_automorph", counted)
+                got = b.binary_roots(b.BinaryForm(*t))
+            assert got == expected[t], t
+            assert len(calls) == (1 if got else 0), t
+            many += len(got) >= 2
+        assert many >= 50, many
+
+    @given(st.integers(-60, 60), st.integers(-60, 60), st.integers(-60, 60))
+    @example(2, 0, 2)
+    @example(1, 0, 1)
+    @example(0, 1, 0)
+    @example(4, 6, 9)
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_exponent(self, a, h, c):
+        # definite, indefinite and isotropic Gram matrices alike
+        if a * c == h * h:
+            return
+        lat = Lattice(((a, h), (h, c)))
+        assert b._gram_exponent(a, h, c) == lat.discriminant().exponent
+
 
 class TestBudgets:
     """Overflowing a reduction or cycle cap is a budget, not a bug."""
@@ -570,6 +664,20 @@ class TestBudgets:
                 b.represents(b.BinaryForm.from_d(7), -3)
         finally:
             b._cycle.cache_clear()
+
+    def test_cf_period_cap(self, monkeypatch):
+        # sqrt(7) = [2; 1, 1, 1, 4]: a period of 4 terms fits a cap of 4,
+        # not one of 3, and the Pell unit and automorph inherit the refusal
+        monkeypatch.setattr(b, "_CYCLE_CAP", 4)
+        assert b.cf_sqrt(7).period == (1, 1, 1, 4)
+        monkeypatch.setattr(b, "_CYCLE_CAP", 3)
+        assert b.cf_sqrt(8).period == (1, 4)
+        with pytest.raises(EffortLimitExceeded):
+            b.cf_sqrt(7)
+        with pytest.raises(EffortLimitExceeded):
+            b.pell_fundamental(7)
+        with pytest.raises(EffortLimitExceeded):
+            b.fundamental_automorph(b.BinaryForm.from_d(7))
 
     def test_factorisation_budget(self):
         # -(2^89 - 1) is a prime beyond 2^64: trial division to its square

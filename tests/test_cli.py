@@ -197,6 +197,20 @@ class TestBinaryCommands:
         assert x * x - d * y * y == 1
         assert x > 10**4300
 
+    @pytest.mark.parametrize("command", ["cf", "pell", "isometry"])
+    def test_period_past_the_cycle_cap_is_refused(self, capsys, monkeypatch, command):
+        # sqrt(7) has a period of 4 terms; under a cap of 3 the expansion
+        # stops with a budget error instead of growing its period list
+        from reflekt import binary
+        monkeypatch.setattr(binary, "_CYCLE_CAP", 3)
+        code, out = run(capsys, "--format", "json", "binary", command, "-D", "7")
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "EffortLimitExceeded"
+        code = main(["binary", command, "-D", "7"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: the period of sqrt(7)")
+
     def test_domain_error_is_exit_1_with_json_object(self, capsys):
         code, out = run(capsys, "--format", "json", "binary", "mu", "-D", "9")
         assert code == 1
