@@ -45,6 +45,9 @@ from .errors import (EffortLimitExceeded, InternalCheckError,
 
 _REDUCE_CAP = 100_000
 _CYCLE_CAP = 10_000_000
+# continued-fraction terms multiplied sequentially at the leaves of
+# pell_fundamental's product tree
+_PELL_CHUNK = 64
 
 
 def is_square(n: int) -> bool:
@@ -150,22 +153,38 @@ class PellSolution:
                 f"({self.x},{self.y}) does not solve the unit equation for d={self.d}")
 
 
+def _convergent_matrix(terms):
+    """The product of the matrices ((a, 1), (1, 0)) over terms, by the
+    convergent recurrence."""
+    p, p_prev, q, q_prev = 1, 0, 0, 1
+    for a in terms:
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+    return ((p, p_prev), (q, q_prev))
+
+
 def pell_fundamental(d: int) -> PellSolution:
     """Fundamental unit solution from the convergents of sqrt(d).
 
     With period length k, p_(k-1)^2 - d q_(k-1)^2 = (-1)^k, so the unit is
     the convergent that ends the period when k is even and the one that
-    ends the second period when k is odd.
+    ends the second period when k is odd.  (p, q) is the first column of
+    the product of the matrices ((a, 1), (1, 0)) over a0 and the terms up
+    to it.  Chunks of _PELL_CHUNK terms are multiplied by the recurrence
+    and the chunk products in a balanced tree, so the large factors meet
+    only near the root and the cost is not quadratic in the period.
     """
     cf = cf_sqrt(d)
     k = len(cf.period)
     steps = k - 1 if k % 2 == 0 else 2 * k - 1
-    p_prev, p = 1, cf.a0
-    q_prev, q = 0, 1
-    for a in (cf.period * 2)[:steps]:
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-    return PellSolution(x=p, y=q, d=d)
+    terms = (cf.a0,) + (cf.period * 2)[:steps]
+    mats = [_convergent_matrix(terms[i:i + _PELL_CHUNK])
+            for i in range(0, len(terms), _PELL_CHUNK)]
+    while len(mats) > 1:
+        mats = [_mat2_mul(*mats[i:i + 2]) if i + 1 < len(mats) else mats[i]
+                for i in range(0, len(mats), 2)]
+    (x, _), (y, _) = mats[0]
+    return PellSolution(x=x, y=y, d=d)
 
 
 # -- reduction of indefinite forms (non-square discriminant) ----------------

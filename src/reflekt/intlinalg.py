@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import index
+from operator import index, mul
 
 from .arith import gcd_ext
 from .errors import InvalidInputError
@@ -26,7 +26,7 @@ def int_vector(v) -> tuple[int, ...]:
     "1" are rejected instead of being truncated or parsed.
     """
     try:
-        return tuple(index(x) for x in v)
+        return tuple(map(index, v))
     except TypeError:
         raise InvalidInputError(
             f"expected integer entries, got {list(v)!r}") from None
@@ -50,7 +50,7 @@ def mat_mul(a, b):
 
 
 def mat_vec(m, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def det(m) -> int:
@@ -325,48 +325,48 @@ def solve_left(basis, targets):
 
 
 def congruence_signature(gram):
-    """Signs of a rational congruence diagonalization: (pos, neg, zero).
+    """Inertia (pos, neg, zero) of a symmetric integer matrix.
 
-    Exact symmetric Gauss reduction over Fraction; the classical trick of
-    adding row+column j into i handles a zero diagonal with a nonzero
-    off-diagonal entry.
+    Symmetric fraction-free elimination (Bareiss, Math. Comp. 22, 1968) on
+    integers, pivoting on any remaining nonzero diagonal entry.  After the
+    pivots P, the entry (i, j) of the block is the bordered minor
+    det G[P+i, P+j], so by Sylvester's identity the update
+    (d a_ij - a_ik a_kj) // prev is exact, and the rational pivot of the
+    congruence diagonalization is d / prev: positive iff d and prev share
+    a sign.  A block with zero diagonal but a nonzero a_ij gets row and
+    column j added into i, over the uneliminated indices only, which keeps
+    every entry a bordered minor and makes a_ii = 2 a_ij nonzero.  By
+    Sylvester's law of inertia the counts do not depend on the pivots.
     """
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    alive = list(range(n))
+    a = [list(row) for row in gram]
+    alive = list(range(len(a)))
     pos = neg = 0
+    prev = 1
     while alive:
-        k = next((i for i in alive if a[i][i] != 0), None)
+        k = next((i for i in alive if a[i][i]), None)
         if k is None:
-            pair = None
-            for i in alive:
-                for j in alive:
-                    if i != j and a[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+            pair = next(((i, j) for i in alive for j in alive
+                         if i != j and a[i][j]), None)
             if pair is None:
                 return pos, neg, len(alive)
-            i, j = pair
-            for t in range(n):
-                a[i][t] += a[j][t]
-            for t in range(n):
-                a[t][i] += a[t][j]
-            k = i
+            k, j = pair
+            for t in alive:
+                a[k][t] += a[j][t]
+            for t in alive:
+                a[t][k] += a[t][j]
         d = a[k][k]
-        if d > 0:
+        if (d > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
         alive.remove(k)
+        ak = a[k]
         for i in alive:
-            if a[i][k] != 0:
-                f = a[i][k] / d
-                for t in range(n):
-                    a[i][t] -= f * a[k][t]
-                for t in range(n):
-                    a[t][i] -= f * a[t][k]
+            ai = a[i]
+            aik = ai[k]
+            for j in alive:
+                ai[j] = (d * ai[j] - aik * ak[j]) // prev
+        prev = d
     return pos, neg, 0
 
 

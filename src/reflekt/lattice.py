@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
+from operator import mul
 
 from . import intlinalg
 from .arith import DEFAULT_EFFORT_LIMIT
@@ -93,7 +94,8 @@ class Lattice:
         return intlinalg.det(self.gram)
 
     def signature(self) -> tuple[int, int]:
-        """(positive, negative) inertia counts, by exact rational diagonalization."""
+        """(positive, negative) inertia counts, by fraction-free integer
+        elimination (intlinalg.congruence_signature)."""
         pos, neg, zero = intlinalg.congruence_signature(self.gram)
         if zero:
             raise DegenerateLatticeError("signature of a degenerate form")
@@ -139,31 +141,34 @@ class Lattice:
         in lexicographic order with the first nonzero coordinate positive;
         an all-zero prefix (leading_zero) leaves the sign to the last
         coordinate.  coords is a shared list holding the prefix, val its
-        norm and pair its pairing with the last basis vector.
+        norm and pair its pairing with the last basis vector.  Each level
+        of the walk is a closure over its Gram row that calls the level
+        below, the last one finish; a node computes its pairing with the
+        prefix above it once, so a step in x costs O(1).  Rank 1 has one,
+        empty, prefix.
         """
         if box < 1:
             raise InvalidInputError("box must be >= 1")
         r = self.rank
         g = self.gram
-        coords = [0] * r
 
-        def rec(depth, val, pair, leading_zero):
-            if depth == r - 1:
-                finish(coords, val, pair, leading_zero)
-                return
-            for x in range(0 if leading_zero else -box, box + 1):
-                coords[depth] = x
-                nv = val
-                if x:
-                    nv += g[depth][depth] * x * x
-                    s = 0
-                    for i in range(depth):
-                        s += g[i][depth] * coords[i]
-                    nv += 2 * x * s
-                rec(depth + 1, nv, pair + g[depth][r - 1] * x,
-                    leading_zero and x == 0)
+        def level(depth, below):
+            # q(prefix + x e_depth) = val + (a x + b) x, pairing pair + c x
+            row = g[depth]
+            a, c = row[depth], row[r - 1]
 
-        rec(0, 0, 0, True)
+            def step(coords, val, pair, leading_zero):
+                b = 2 * sum(map(mul, row, coords[:depth]))
+                for x in range(0 if leading_zero else -box, box + 1):
+                    coords[depth] = x
+                    below(coords, val + (a * x + b) * x, pair + c * x,
+                          leading_zero and x == 0)
+            return step
+
+        walk = finish
+        for depth in reversed(range(r - 1)):
+            walk = level(depth, walk)
+        walk([0] * r, 0, 0, True)
 
     def enumerate_norm_vectors(self, n: int, box: int) -> tuple[tuple[int, ...], ...]:
         """All primitive v with q(v) = n and coordinates in [-box, box].

@@ -58,8 +58,11 @@ def reflect(lat: Lattice, v, u):
 
 def root_norm_candidates(lat: Lattice) -> tuple[int, ...]:
     """Negative divisors of 2 e(lattice); a superset of achievable root norms
-    by the lemma in `find_roots_in_box`."""
-    e = lat.discriminant().exponent
+    by the lemma in `find_roots_in_box`.  At rank 2, e has a closed form
+    (`binary._gram_exponent`), so no Hermite pass runs."""
+    g = lat.gram
+    e = (binary._gram_exponent(g[0][0], g[0][1], g[1][1]) if lat.rank == 2
+         else lat.discriminant().exponent)
     return tuple(-d for d in divisors(2 * e))
 
 
@@ -71,19 +74,22 @@ def find_roots_in_box(lat: Lattice, box: int) -> tuple[tuple[int, ...], ...]:
     integrally with L, so it lies in L^#, and as v is primitive its class
     in L^#/L has order |q|/gcd(q, 2), which divides e.  So one walk over
     the (2*box+1)**(rank-1) prefixes computes each last-coordinate norm in
-    O(1) and runs the primitivity and root tests only where q | 2e.  A box
-    of more than DEFAULT_EFFORT_LIMIT prefixes raises EffortLimitExceeded
-    before the walk.
+    O(1) and runs the primitivity and root tests only where q | 2e; the
+    test needs no factorisation of 2e.  A box of more than
+    DEFAULT_EFFORT_LIMIT prefixes raises EffortLimitExceeded before the
+    walk.
     """
     lat.check_prefix_budget(box)
     two_e = 2 * lat.discriminant().exponent
     a = lat.gram[-1][-1]
+    full = [(t, a * t * t) for t in range(-box, box + 1)]
+    positive = full[box + 1:]
     found = []
 
     def scan_last(coords, val, pair, leading_zero):
         b = 2 * pair
-        for t in range(1 if leading_zero else -box, box + 1):
-            q = val + (a * t + b) * t
+        for t, at2 in positive if leading_zero else full:
+            q = val + at2 + b * t
             if q < 0 and two_e % q == 0:
                 coords[-1] = t
                 if gcd(*coords) == 1 and 2 * lat.divisibility(coords) % q == 0:

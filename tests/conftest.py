@@ -326,6 +326,23 @@ def pell_oracle(d):
     return p, y
 
 
+def pell_sequential_oracle(d):
+    """(x, y) of the fundamental unit by the convergent loop that ran before
+    pell_fundamental multiplied in a product tree: from (a0, 1), one
+    recurrence step per term up to the end of the (second) period."""
+    from reflekt import binary as b
+
+    cf = b.cf_sqrt(d)
+    k = len(cf.period)
+    steps = k - 1 if k % 2 == 0 else 2 * k - 1
+    p_prev, p = 1, cf.a0
+    q_prev, q = 0, 1
+    for a in (cf.period * 2)[:steps]:
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+    return p, q
+
+
 def cycle_oracle(f):
     """The cycle of reduced forms through f's reduced form, in rho order.
 

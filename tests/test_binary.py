@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import (binary_roots_oracle, brute_values, class_walk_oracle,
                       cycle_oracle, gram_divisibility_oracle, mu_oracle,
-                      pell_oracle, primitive_oracle,
+                      pell_oracle, pell_sequential_oracle, primitive_oracle,
                       representation_oracle_values, sqrt_classes_oracle,
                       square_parts_oracle, witness_walk_oracle)
 from reflekt import binary as b
@@ -130,6 +130,27 @@ class TestPell:
             if not b.is_square(d):
                 s = b.pell_fundamental(d)
                 assert (s.x, s.y) == pell_oracle(d), d
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+    def test_product_tree_matches_the_sequential_loop(self, monkeypatch, chunk):
+        # a chunk far below the period length makes every d take the tree
+        # path, with odd and even leaf counts and a ragged last chunk
+        monkeypatch.setattr(b, "_PELL_CHUNK", chunk)
+        parities = set()
+        for d in NONSQUARE + [991, 9_999_991, 10_000_141]:
+            k = len(b.cf_sqrt(d).period)
+            parities.add(k % 2)
+            s = b.pell_fundamental(d)
+            assert (s.x, s.y) == pell_sequential_oracle(d), (d, chunk)
+        assert parities == {0, 1}
+
+    def test_long_period_matches_the_sequential_loop(self):
+        # an odd period of 4 769 terms: the unit ends the second period,
+        # 9 538 terms in 150 leaves of the default chunk size
+        d = 10_000_141
+        assert len(b.cf_sqrt(d).period) == 4769 and b._PELL_CHUNK == 64
+        s = b.pell_fundamental(d)
+        assert (s.x, s.y) == pell_sequential_oracle(d)
 
     def test_isometry_examples(self):
         assert b.fundamental_automorph(b.BinaryForm.from_d(8)) == ((3, 8), (1, 3))

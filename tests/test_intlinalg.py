@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import U, determinantal_divisor_oracle, dsum
+from conftest import (U, _rational_rank, charpoly_signature,
+                      determinantal_divisor_oracle, dsum)
 from reflekt import construct, intlinalg as la, roots
 from reflekt.lattice import Lattice, Sublattice
 
@@ -121,6 +122,58 @@ def test_congruence_signature_basics():
     assert la.congruence_signature(((0, 1), (1, 0))) == (1, 1, 0)
     assert la.congruence_signature(((0, 0), (0, 0))) == (0, 0, 2)
     assert la.congruence_signature(((2,),)) == (1, 0, 0)
+
+
+@st.composite
+def symmetric_matrices(draw, n_max=6, entry=6):
+    """Symmetric n x n integer matrices, n in 1..n_max; some have a zero
+    diagonal, and some repeat a row and column, which makes them degenerate."""
+    n = draw(st.integers(1, n_max))
+    zero_diagonal = draw(st.booleans())
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or not zero_diagonal:
+                a[i][j] = a[j][i] = draw(st.integers(-entry, entry))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        a[j] = a[i][:]
+        for row in a:
+            row[j] = row[i]
+    return tuple(map(tuple, a))
+
+
+@given(symmetric_matrices())
+@settings(max_examples=300, deadline=None)
+def test_congruence_signature_matches_the_charpoly(m):
+    pos, neg, zero = la.congruence_signature(m)
+    assert (pos, neg) == charpoly_signature(m)
+    assert zero == len(m) - _rational_rank(m)
+
+
+def test_congruence_signature_builds_no_fraction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("congruence_signature built a Fraction")
+
+    monkeypatch.setattr(la, "Fraction", refuse)
+    assert la.congruence_signature(((0, 2, 1), (2, 0, 3), (1, 3, 0))) == (1, 2, 0)
+    assert la.congruence_signature(((0, 1, 1), (1, 0, 1), (1, 1, 0))) == (1, 2, 0)
+    assert la.congruence_signature(((2, 4), (4, 8))) == (1, 0, 1)
+    assert la.congruence_signature(((0, 0), (0, 0))) == (0, 0, 2)
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+@settings(max_examples=50, deadline=None)
+def test_mat_vec_matches_the_generator_form(rows, cols, data):
+    # ints and Fractions alike: same values and same types
+    entries = st.integers(-9, 9) | st.fractions(max_denominator=7)
+    m = data.draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    v = data.draw(st.lists(entries, min_size=cols, max_size=cols))
+    got = la.mat_vec(m, v)
+    want = tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    assert got == want
+    assert list(map(type, got)) == list(map(type, want))
 
 
 @given(shaped_matrices(st.integers(5, 8), st.integers(5, 8)))

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (ITEM2_GRAM, U, box_vectors_oracle, charpoly_signature,
-                      determinantal_divisor_oracle, diag, dsum)
-from reflekt import intlinalg
+from conftest import (ITEM2_GRAM, U, box_vectors_oracle, brute_roots,
+                      charpoly_signature, determinantal_divisor_oracle, diag,
+                      dsum)
+from reflekt import intlinalg, roots
 from reflekt.errors import (DegenerateLatticeError, DependentBasisError,
                             InvalidInputError, SpanMismatchError)
 from reflekt.lattice import Lattice, Sublattice
@@ -320,6 +321,46 @@ class TestBoxWalker:
         for n in {q for _, q in want[::max(1, len(want) // 4)]} | {0}:
             primitive = tuple(sorted(v for v, q in want if q == n and gcd(*v) == 1))
             assert lat.enumerate_norm_vectors(n, box) == primitive
+
+    def check_walkers(self, gram, box):
+        """box_vectors against the product oracle, and enumerate_norm_vectors
+        and find_roots_in_box against the sieved oracle and the brute force."""
+        lat = Lattice(gram)
+        want = box_vectors_oracle(gram, box)
+        assert lat.box_vectors(box) == want
+        for n in {q for _, q in want}:
+            primitive = tuple(sorted(v for v, q in want if q == n and gcd(*v) == 1))
+            assert lat.enumerate_norm_vectors(n, box) == primitive
+        assert roots.find_roots_in_box(lat, box) == tuple(sorted(brute_roots(lat, box)))
+
+    @pytest.mark.parametrize("gram", [((3,),), ((-2,),), ((-1,),), ((0, 1), (1, 0)),
+                                      ((1, 0), (0, -8)), ((2, 1), (1, -3)),
+                                      ((0, 2), (2, -1)), ((-2, 1), (1, -2))])
+    @pytest.mark.parametrize("box", [1, 2, 3])
+    def test_rank1_and_rank2(self, gram, box):
+        self.check_walkers(gram, box)
+
+    @given(sym_int_matrices(n_max=4, entry=4), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_walkers_agree_with_the_oracles(self, gram, box):
+        try:
+            Lattice(gram)
+        except DegenerateLatticeError:
+            return
+        self.check_walkers(gram, box)
+
+    def test_leading_zero_prefixes(self):
+        # an all-zero prefix leaves the sign to the last coordinate; after a
+        # prefix whose first nonzero entry is positive, both signs follow
+        lat = Lattice(((0, 1, 0), (1, 0, 0), (0, 0, -2)))
+        vectors = [v for v, _ in lat.box_vectors(2)]
+        assert vectors[:2] == [(0, 0, 1), (0, 0, 2)]
+        assert (0, 1, -2) in vectors and (0, -1, 2) not in vectors
+        got = lat.enumerate_norm_vectors(-2, 2)
+        assert {(0, 0, 1), (0, 1, -1), (0, 1, 1), (0, 2, -1), (0, 2, 1)} <= set(got)
+        assert not any(v[0] == 0 and v[1] < 0 for v in got)
+        assert roots.find_roots_in_box(lat, 2) == got  # 2 divides 2 div(v)
+        self.check_walkers(lat.gram, 2)
 
     def test_rejects_empty_box(self):
         with pytest.raises(InvalidInputError):

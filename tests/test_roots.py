@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (U, box_vectors_oracle, brute_roots, charpoly_signature,
                       determinantal_divisor_oracle, diag, dsum, factorize_oracle)
-from reflekt import roots as rt
+from reflekt import intlinalg, roots as rt
 from reflekt.errors import (DegenerateLatticeError, EffortLimitExceeded,
                             InvalidInputError, NotARootError)
 from reflekt.lattice import Lattice
@@ -81,6 +83,16 @@ class TestFindRootsInBox:
 
     def test_example_u(self):
         assert rt.find_roots_in_box(U, 1) == ((1, -1),)
+
+    def test_needs_no_factorisation_of_2e(self, monkeypatch):
+        # 2e has three prime factors above the trial-division budget, so
+        # factorize would raise EffortLimitExceeded
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) ran")
+
+        monkeypatch.setattr("reflekt.arith.factorize", refuse)
+        lat = diag(1, -1, -2000003 * 2000029 * 2000039)
+        assert rt.find_roots_in_box(lat, 2) == ((0, 0, 1), (0, 1, 0))
 
     def test_agrees_with_brute_force(self, battery12):
         for lat in battery12:
@@ -246,6 +258,37 @@ class TestReflectivity:
     def test_isotropic_rank2_reflective(self):
         assert rt.reflectivity_indicator(U).status == rt.REFLECTIVE
         assert rt.reflectivity_indicator(diag(1, -9)).status == rt.REFLECTIVE
+
+    @staticmethod
+    def hermite_candidates(lat):
+        """root_norm_candidates by the general route: e from the Hermite
+        passes of Lattice.discriminant, divisors of 2e by a scan."""
+        two_e = 2 * lat.discriminant().exponent
+        return tuple(-d for d in range(1, two_e + 1) if two_e % d == 0)
+
+    @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30))
+    @settings(max_examples=300, deadline=None)
+    def test_rank2_verdict_matches_the_hermite_route(self, a, h, c):
+        try:
+            lat = Lattice(((a, h), (h, c)))
+        except DegenerateLatticeError:
+            return
+        got = rt.reflectivity_indicator(lat)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rt, "root_norm_candidates", self.hermite_candidates)
+            want = rt.reflectivity_indicator(lat)
+        assert got == want
+        assert rt.root_norm_candidates(lat) == self.hermite_candidates(lat)
+
+    def test_rank2_runs_no_hermite_pass(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Hermite pass ran at rank 2")
+
+        monkeypatch.setattr(intlinalg, "hermite_row_basis", refuse)
+        statuses = {rt.reflectivity_indicator(Lattice(g)).status
+                    for g in (((3, 4), (4, -7)), ((1, 0), (0, -8)),
+                              ((0, 1), (1, 0)), ((2, 1), (1, 3)))}
+        assert statuses == {rt.REFLECTIVE, rt.NON_REFLECTIVE}
 
     def test_rank3_unknown_with_evidence(self):
         verdict = rt.reflectivity_indicator(diag(1, -1, -1), budget=2)
