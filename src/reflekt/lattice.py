@@ -128,97 +128,124 @@ class Lattice:
     # -- bounded enumeration -------------------------------------------------
 
     def check_prefix_budget(self, box: int) -> None:
-        """Refuse a box whose (2*box+1)**(rank-1) walk prefixes exceed
-        DEFAULT_EFFORT_LIMIT, with EffortLimitExceeded, before any walk."""
-        if box > 0 and (2 * box + 1) ** (self.rank - 1) > DEFAULT_EFFORT_LIMIT:
+        """Refuse box < 1 with InvalidInputError, and a box whose
+        (2*box+1)**(rank-1) enumeration prefixes (a walk prefix and the x of
+        its tail) exceed DEFAULT_EFFORT_LIMIT with EffortLimitExceeded,
+        before any walk."""
+        if box < 1:
+            raise InvalidInputError("box must be >= 1")
+        if (2 * box + 1) ** (self.rank - 1) > DEFAULT_EFFORT_LIMIT:
             raise EffortLimitExceeded(f"box {box} at rank {self.rank} needs more than "
                                       f"{DEFAULT_EFFORT_LIMIT} enumeration prefixes")
 
     def _walk_prefixes(self, box: int, finish) -> None:
-        """Call finish(coords, val, pair, leading_zero) once per prefix.
+        """Call finish(coords, val, p1, p2, leading_zero) once per prefix.
 
-        A prefix fixes the first rank-1 coordinates in [-box, box], walked
+        A prefix fixes the first rank-2 coordinates in [-box, box], walked
         in lexicographic order with the first nonzero coordinate positive;
-        an all-zero prefix (leading_zero) leaves the sign to the last
-        coordinate.  coords is a shared list holding the prefix, val its
-        norm and pair its pairing with the last basis vector.  Each level
-        of the walk is a closure over its Gram row that calls the level
-        below, the last one finish; a node computes its pairing with the
-        prefix above it once, so a step in x costs O(1).  Rank 1 has one,
-        empty, prefix.
+        finish then handles the tail (x, t) of the last two coordinates in
+        one loop.  An all-zero prefix (leading_zero) leaves the sign to the
+        tail: x > 0, or x = 0 < t.  coords is a shared list of length rank
+        holding the prefix, val its norm, and p1, p2 its pairings with the
+        last two basis vectors, so q(prefix + x e_{r-2} + t e_{r-1}) =
+        val + 2 p1 x + 2 p2 t + g11 x^2 + 2 g12 x t + g22 t^2 in the Gram
+        entries of the tail.  Each level is a closure over its Gram row that
+        calls the level below, the last one finish; a node computes its
+        pairing with the prefix above it once, so a step costs O(1).  Rank 2
+        has one, empty, prefix; rank 1 has no tail and is the callers' to
+        answer.
         """
-        if box < 1:
-            raise InvalidInputError("box must be >= 1")
         r = self.rank
         g = self.gram
 
         def level(depth, below):
-            # q(prefix + x e_depth) = val + (a x + b) x, pairing pair + c x
+            # q(prefix + x e_depth) = val + (a x + b) x, pairings p + c x
             row = g[depth]
-            a, c = row[depth], row[r - 1]
+            a, c1, c2 = row[depth], row[r - 2], row[r - 1]
 
-            def step(coords, val, pair, leading_zero):
+            def step(coords, val, p1, p2, leading_zero):
                 b = 2 * sum(map(mul, row, coords[:depth]))
                 for x in range(0 if leading_zero else -box, box + 1):
                     coords[depth] = x
-                    below(coords, val + (a * x + b) * x, pair + c * x,
+                    below(coords, val + (a * x + b) * x, p1 + c1 * x, p2 + c2 * x,
                           leading_zero and x == 0)
             return step
 
         walk = finish
-        for depth in reversed(range(r - 1)):
+        for depth in reversed(range(r - 2)):
             walk = level(depth, walk)
-        walk([0] * r, 0, 0, True)
+        walk([0] * r, 0, 0, 0, True)
+
+    def _tail_table(self, box: int):
+        """(x, t, Q2, 2(w, e_{r-2}), 2(w, e_{r-1})) for each tail
+        w = x e_{r-2} + t e_{r-1} with x, t in [-box, box], Q2 = q(w), in
+        lexicographic order; and its sign-canonical half (x > 0, or
+        x = 0 < t), which follows (0, 0) in that order."""
+        g11, g12, g22 = self.gram[-2][-2], self.gram[-2][-1], self.gram[-1][-1]
+        span = range(-box, box + 1)
+        full = [(x, t, (g11 * x + 2 * g12 * t) * x + g22 * t * t,
+                 2 * (g11 * x + g12 * t), 2 * (g12 * x + g22 * t))
+                for x in span for t in span]
+        return full, full[len(full) // 2 + 1:]
 
     def enumerate_norm_vectors(self, n: int, box: int) -> tuple[tuple[int, ...], ...]:
         """All primitive v with q(v) = n and coordinates in [-box, box].
 
         Complete within the box, deduplicated up to global sign (first
         nonzero coordinate positive).  Nothing is claimed outside the box.
-        The last coordinate is solved from a quadratic instead of scanned,
-        so the cost is (2*box+1)**(rank-1) subproblems, refused with
+        After a prefix (see _walk_prefixes), q(v) = n is the quadratic
+        g22 t^2 + 2 (p2 + g12 x) t + (val - n + 2 p1 x + g11 x^2) = 0 in the
+        last coordinate t, whose quarter discriminant is A x^2 + B x + C with
+        A = g12^2 - g11 g22, B = 2 (p2 g12 - g22 p1), C = p2^2 - g22 (val - n).
+        So each x costs one Horner step and a sign test, and isqrt runs only
+        where the discriminant is >= 0; g22 = 0 leaves a linear equation.
+        The cost is (2*box+1)**(rank-1) such steps, refused with
         EffortLimitExceeded beyond DEFAULT_EFFORT_LIMIT.
         """
         self.check_prefix_budget(box)
-        r = self.rank
-        a = self.gram[r - 1][r - 1]
+        g = self.gram
+        if self.rank == 1:
+            return ((1,),) if g[0][0] == n else ()
+        g11, g12, g22 = g[-2][-2], g[-2][-1], g[-1][-1]
+        a = g12 * g12 - g11 * g22
         found = []
 
-        def emit(coords, last, leading_zero):
-            # canonical sign: with an all-zero prefix the last entry must be > 0
-            if leading_zero and last <= 0:
-                return
-            if not -box <= last <= box:
-                return
-            coords[r - 1] = last
-            if gcd(*coords) == 1:
-                found.append(tuple(coords))
+        def emit(coords, x, t, leading_zero):
+            if -box <= t <= box and (t > 0 or x or not leading_zero):
+                coords[-2] = x
+                coords[-1] = t
+                if gcd(*coords) == 1:
+                    found.append(tuple(coords))
 
-        def solve_last(coords, val, pair, leading_zero):
-            # q(prefix + t*e_r) = a t^2 + b t + c + n with the values below
-            b = 2 * pair
-            c = val - n
-            if a == 0:
-                if b == 0:
-                    if c == 0:
-                        for t in range(1 if leading_zero else -box, box + 1):
-                            emit(coords, t, leading_zero)
-                    return
-                if c % b == 0:
-                    emit(coords, -c // b, leading_zero)
-                return
-            disc = b * b - 4 * a * c
-            if disc < 0:
-                return
-            s = isqrt(disc)
-            if s * s != disc:
-                return
-            for num in {-b + s, -b - s}:
-                if num % (2 * a) == 0:
-                    emit(coords, num // (2 * a), leading_zero)
+        def solve_tail(coords, val, p1, p2, leading_zero):
+            b = 2 * (p2 * g12 - g22 * p1)
+            c = p2 * p2 - g22 * (val - n)
+            for x in range(0 if leading_zero else -box, box + 1):
+                d = (a * x + b) * x + c
+                if d < 0:
+                    continue
+                s = isqrt(d)
+                if s * s != d:
+                    continue
+                h = -p2 - g12 * x
+                for num in (h + s, h - s) if s else (h,):
+                    if num % g22 == 0:
+                        emit(coords, x, num // g22, leading_zero)
 
-        self._walk_prefixes(box, solve_last)
-        return tuple(sorted(set(found)))
+        def solve_linear(coords, val, p1, p2, leading_zero):
+            # g22 = 0: 2 (p2 + g12 x) t + (val - n + (2 p1 + g11 x) x) = 0
+            for x in range(0 if leading_zero else -box, box + 1):
+                b = 2 * (p2 + g12 * x)
+                c = val - n + (2 * p1 + g11 * x) * x
+                if b:
+                    if c % b == 0:
+                        emit(coords, x, -c // b, leading_zero)
+                elif c == 0:
+                    for t in range(-box, box + 1):
+                        emit(coords, x, t, leading_zero)
+
+        self._walk_prefixes(box, solve_tail if g22 else solve_linear)
+        return tuple(sorted(found))
 
     def box_vectors(self, box: int) -> list[tuple[tuple[int, ...], int]]:
         """All (v, q(v)) with nonzero v, coordinates in [-box, box], one
@@ -228,15 +255,19 @@ class Lattice:
         No library code calls this; it stays only because
         `perfbench/workloads.py::_ENTRY_POINTS` names it.
         """
-        a = self.gram[-1][-1]
+        self.check_prefix_budget(box)
+        if self.rank == 1:
+            return [((t,), self.gram[0][0] * t * t) for t in range(1, box + 1)]
+        full, half = self._tail_table(box)
         out = []
 
-        def scan_last(coords, val, pair, leading_zero):
-            prefix = tuple(coords[:-1])
-            for t in range(1 if leading_zero else -box, box + 1):
-                out.append((prefix + (t,), val + (a * t + 2 * pair) * t))
+        def scan_tail(coords, val, p1, p2, leading_zero):
+            prefix = tuple(coords[:-2])
+            b1, b2 = 2 * p1, 2 * p2
+            out.extend((prefix + (x, t), val + q2 + b1 * x + b2 * t)
+                       for x, t, q2, _, _ in (half if leading_zero else full))
 
-        self._walk_prefixes(box, scan_last)
+        self._walk_prefixes(box, scan_tail)
         return out
 
 

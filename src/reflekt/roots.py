@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import Optional
 
 from . import binary
@@ -72,30 +73,37 @@ def find_roots_in_box(lat: Lattice, box: int) -> tuple[tuple[int, ...], ...]:
     Complete within the box only.  Lemma: the norm q of a root v divides
     2e, where e is the exponent of the discriminant group.  Proof: 2v/q pairs
     integrally with L, so it lies in L^#, and as v is primitive its class
-    in L^#/L has order |q|/gcd(q, 2), which divides e.  So one walk over
-    the (2*box+1)**(rank-1) prefixes computes each last-coordinate norm in
-    O(1) and runs the primitivity and root tests only where q | 2e; the
-    test needs no factorisation of 2e.  A box of more than
-    DEFAULT_EFFORT_LIMIT prefixes raises EffortLimitExceeded before the
-    walk.
+    in L^#/L has order |q|/gcd(q, 2), which divides e.  And by definition q
+    divides 2(v, e_i) for every basis vector e_i, so each single pairing is
+    a necessary test.  One walk over the (2*box+1)**(rank-2) prefixes scans
+    a precomputed table of the (2*box+1)**2 tails (see Lattice._tail_table),
+    where each norm and the pairings 2(v, e_{r-2}), 2(v, e_{r-1}) cost O(1).
+    Only where q | 2e (no factorisation of 2e is needed) and q divides both
+    tail pairings do the primitivity and the full root test run, on the
+    Gram rows directly.  A box of more than DEFAULT_EFFORT_LIMIT prefixes
+    raises EffortLimitExceeded before the walk.
     """
     lat.check_prefix_budget(box)
+    g = lat.gram
+    if lat.rank == 1:
+        return ((1,),) if g[0][0] < 0 else ()
     two_e = 2 * lat.discriminant().exponent
-    a = lat.gram[-1][-1]
-    full = [(t, a * t * t) for t in range(-box, box + 1)]
-    positive = full[box + 1:]
+    full, half = lat._tail_table(box)
     found = []
 
-    def scan_last(coords, val, pair, leading_zero):
-        b = 2 * pair
-        for t, at2 in positive if leading_zero else full:
-            q = val + at2 + b * t
-            if q < 0 and two_e % q == 0:
+    def scan_tail(coords, val, p1, p2, leading_zero):
+        b1, b2 = 2 * p1, 2 * p2
+        for x, t, q2, d1, d2 in half if leading_zero else full:
+            q = val + q2 + b1 * x + b2 * t
+            if (q < 0 and two_e % q == 0 and (b2 + d2) % q == 0
+                    and (b1 + d1) % q == 0):
+                coords[-2] = x
                 coords[-1] = t
-                if gcd(*coords) == 1 and 2 * lat.divisibility(coords) % q == 0:
+                if (gcd(*coords) == 1
+                        and 2 * gcd(*[sum(map(mul, row, coords)) for row in g]) % q == 0):
                     found.append(tuple(coords))
 
-    lat._walk_prefixes(box, scan_last)
+    lat._walk_prefixes(box, scan_tail)
     return tuple(sorted(found))
 
 

@@ -25,6 +25,38 @@ def sym_int_matrices(n_max=6, entry=5, n_min=1):
     return st.integers(n_min, n_max).flatmap(build)
 
 
+# the tail block (g11, g12, g22) of the last two coordinates, in the shapes
+# the tail solvers branch on; A = g12^2 - g11 g22
+TAIL_SHAPES = {"g22=0": (2, 1, 0), "g11=0": (0, 1, -3), "U": (0, 1, 0),
+               "A=0": (2, 2, 2), "A=0,g11=0": (0, 0, -2)}
+
+
+@st.composite
+def tail_shaped_cases(draw):
+    """(gram, box): a symmetric matrix of size 1-5 whose tail block is free
+    or forced to g22 = 0, g11 = 0, U (g11 = g22 = 0) or A = 0 (a singular
+    block), and a box of 1-3, 1-2 at size 5 (where box 3 costs the oracles
+    a quarter second)."""
+    gram = [list(row) for row in draw(sym_int_matrices(n_max=5, entry=4))]
+    shape = draw(st.sampled_from(("free", *TAIL_SHAPES)))
+    if len(gram) >= 2 and shape != "free":
+        g11, g12, g22 = gram[-2][-2], gram[-2][-1], gram[-1][-1]
+        if shape == "g22=0":
+            g22 = 0
+        elif shape == "g11=0":
+            g11 = 0
+        elif shape == "U":
+            g11, g12, g22 = 0, draw(st.sampled_from((-1, 1))), 0
+        else:  # A = 0: k (u, v)^T (u, v)
+            k, u, v = draw(st.tuples(st.sampled_from((-2, -1, 1, 2)),
+                                     st.integers(-2, 2), st.integers(-2, 2)))
+            g11, g12, g22 = k * u * u, k * u * v, k * v * v
+        gram[-2][-2], gram[-1][-1] = g11, g22
+        gram[-2][-1] = gram[-1][-2] = g12
+    box = draw(st.integers(1, 3 if len(gram) < 5 else 2))
+    return tuple(map(tuple, gram)), box
+
+
 class TestLatticeBasics:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -367,3 +399,45 @@ class TestBoxWalker:
             U.box_vectors(0)
         with pytest.raises(InvalidInputError):
             U.enumerate_norm_vectors(0, 0)
+        with pytest.raises(InvalidInputError):
+            roots.find_roots_in_box(U, 0)
+        with pytest.raises(InvalidInputError):
+            diag(-3).box_vectors(0)
+
+    @given(tail_shaped_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_tail_shapes_agree_with_the_oracles(self, case):
+        gram, box = case
+        # every walk also runs the all-zero prefix and the prefixes with
+        # leading zeros, whose tails take the sign-canonical half
+        assume(intlinalg.det(gram) != 0)
+        self.check_walkers(gram, box)
+
+    @pytest.mark.parametrize("tail", TAIL_SHAPES.values(), ids=TAIL_SHAPES)
+    def test_each_tail_shape(self, tail):
+        gram = [[2, 1, 0, -1], [1, -3, 1, 1], [0, 1, 0, 0], [-1, 1, 0, 0]]
+        gram[2][2], gram[2][3], gram[3][3] = tail
+        gram[3][2] = tail[1]
+        self.check_walkers(tuple(map(tuple, gram)), 2)
+
+    def test_rank2_runs_the_half_table_once(self, monkeypatch):
+        # rank 2 has one, empty, prefix: the tail loop runs once, over
+        # x > 0 or x = 0 < t
+        calls = []
+        walk = Lattice._walk_prefixes
+
+        def spy(self, box, finish):
+            def recorded(coords, *rest):
+                calls.append((tuple(coords), *rest))
+                finish(coords, *rest)
+            walk(self, box, recorded)
+
+        monkeypatch.setattr(Lattice, "_walk_prefixes", spy)
+        assert U.box_vectors(1) == [((0, 1), 0), ((1, -1), -2), ((1, 0), 0),
+                                    ((1, 1), 2)]
+        assert U.enumerate_norm_vectors(0, 1) == ((0, 1), (1, 0))
+        assert U.enumerate_norm_vectors(-2, 1) == ((1, -1),)
+        assert roots.find_roots_in_box(U, 1) == ((1, -1),)
+        assert calls == [((0, 0), 0, 0, 0, True)] * 4
+        assert U._tail_table(1)[1] == [(0, 1, 0, 2, 0), (1, -1, -2, -2, 2),
+                                       (1, 0, 0, 0, 2), (1, 1, 2, 2, 2)]

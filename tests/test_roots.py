@@ -94,6 +94,22 @@ class TestFindRootsInBox:
         lat = diag(1, -1, -2000003 * 2000029 * 2000039)
         assert rt.find_roots_in_box(lat, 2) == ((0, 0, 1), (0, 1, 0))
 
+    def test_runs_no_validating_api(self, monkeypatch):
+        # candidates are tested on the Gram rows directly, not through
+        # Lattice.divisibility and its vector re-validation
+        lats = [diag(1, -8), dsum(U, diag(-2)), dsum(U, U, diag(-6)),
+                Lattice(((2, 1, 0), (1, -2, 3), (0, 3, -4)))]
+        want = [rt.find_roots_in_box(lat, 3) for lat in lats]
+        assert want == [tuple(sorted(brute_roots(lat, 3))) for lat in lats]
+
+        def refuse(*args):
+            raise AssertionError("the validating API ran")
+
+        monkeypatch.setattr(Lattice, "divisibility", refuse)
+        monkeypatch.setattr(Lattice, "_check_vector", refuse)
+        assert [rt.find_roots_in_box(lat, 3) for lat in lats] == want
+        assert all(want)
+
     def test_agrees_with_brute_force(self, battery12):
         for lat in battery12:
             box = 4 if lat.rank >= 4 else 6
