@@ -4,10 +4,11 @@ complete decision procedures for representation, mu, and root norms.
 The representation decision follows classical reduction theory.  For a
 non-square discriminant D and a target m with 4m^2 < D, m is primitively
 represented iff it occurs as a leading coefficient in the cycle of reduced
-forms.  For larger |m| one class search answers every question: each
-square root b of D modulo 4|m| gives a form (m, b, c), and m is primitively
-represented iff one of them reduces into the cycle of f; the reducing
-matrices turn those classes into witnesses.
+forms.  One class search, `_first_class`, answers every question: it says
+"no" to a small m that is not a leading coefficient at once, and otherwise
+each square root b of D modulo 4|m| gives a form (m, b, c), and m is
+primitively represented iff one of them reduces into the cycle of f; the
+reducing matrices turn the first such class into a witness.
 
 Each public call reduces f once.  Each cycle is walked once and kept as a
 record: the position of every form in rho order, the set of leading
@@ -352,26 +353,26 @@ def represents(f: BinaryForm, n: int) -> bool:
     if is_square(disc):
         return bool(_square_disc_solutions(f, n))
     red = _reduction(f)
-    return any(_represents_primitively(red, m) for _, m in _square_parts(n))
+    leads = red.cycle[1]
+    return any(m in leads or _first_class(red, m) is not None
+               for _, m in _square_parts(n))
 
 
-def _classes(red: _Reduction, m: int, bs):
-    """The class search: (reduced, M) with (m, b, c)∘M = reduced for each b in
-    bs, square roots of D mod 4|m|, whose form reduces into f's cycle (m != 0)."""
+def _first_class(red: _Reduction, m: int, bs=None):
+    """The class search for m != 0: (reduced, M) with (m, b, c)∘M = reduced
+    for the first b in bs whose form reduces into f's cycle, or None.  bs
+    holds square roots of D mod 4|m| and defaults to all of them in
+    [0, 2|m|), in increasing order.  When 4m^2 < D, m has a class iff it is
+    a leading coefficient of the cycle, so a non-lead is answered at once."""
     disc, sq = red.disc, red.sq
-    pos = red.cycle[0]
-    for b in bs:
-        c = (b * b - disc) // (4 * m)
-        reduced, q = _reduce_form((m, b, c), disc, sq)
+    pos, leads, _ = red.cycle
+    if 4 * m * m < disc and m not in leads:
+        return None
+    for b in _sqrt_classes_mod(disc, m) if bs is None else bs:
+        reduced, q = _reduce_form((m, b, (b * b - disc) // (4 * m)), disc, sq)
         if reduced in pos:
-            yield reduced, q
-
-
-def _represents_primitively(red: _Reduction, m: int) -> bool:
-    """Primitive representation decision for m != 0."""
-    if 4 * m * m < red.disc:
-        return m in red.cycle[1]
-    return next(_classes(red, m, _sqrt_classes_mod(red.disc, m)), None) is not None
+            return reduced, q
+    return None
 
 
 def _square_disc_solutions(f: BinaryForm, n: int):
@@ -403,9 +404,10 @@ def _square_disc_solutions(f: BinaryForm, n: int):
 def representation_witness(f: BinaryForm, n: int):
     """A vector (x, y) with f(x, y) = n, or None.
 
-    Slower than `represents` (it always runs the class-transform route,
-    never the cycle shortcut) but returns checkable evidence; the two
-    routes agreeing is itself a useful invariant.
+    Slower than `represents`, which answers a leading coefficient of the
+    cycle with a lookup: here every represented square part needs its first
+    class and that class's witness.  In return the answer is checkable
+    evidence, and the two routes agreeing is itself a useful invariant.
     """
     disc = f.disc
     if n == 0:
@@ -425,8 +427,10 @@ def representation_witness(f: BinaryForm, n: int):
         return min(sols) if sols else None
     red = _reduction(f)
     for t, m in _square_parts(n):
-        for v in _primitive_representation_witnesses(f, red, m):
-            return (t * v[0], t * v[1])
+        cls = _first_class(red, m)
+        if cls is not None:
+            x, y = _class_witness(f, red, m, *cls)
+            return (t * x, t * y)
     return None
 
 
@@ -479,19 +483,18 @@ def mu(f: BinaryForm) -> int:
 def fundamental_automorph(f: BinaryForm):
     """A proper automorph of f with trace > 2 (anisotropic forms only).
 
-    Acts on column vectors: M^T G M = G for the Gram matrix G of f.
+    Acts on column vectors: M^T G M = G for the Gram matrix G of f.  M is
+    ((t - b u)/2, -c u; a u, (t + b u)/2) for a solution of t^2 - D u^2 = 4:
+    (2x, y) from the unit of x^2 - (D/4) y^2 = 1 when b is even, else
+    (2x, 2y) from that of x^2 - D y^2 = 1.
     """
     if not is_anisotropic(f):
         raise IsotropicFormError("isotropic forms have no hyperbolic automorph")
     a, b, c = f.a, f.b, f.c
-    if b % 2 == 0:
-        d0 = (b // 2) ** 2 - a * c
-        s = pell_fundamental(d0)
-        x, y = s.x, s.y
-        return ((x - (b // 2) * y, -c * y), (a * y, x + (b // 2) * y))
-    s = pell_fundamental(f.disc)
-    x, y = s.x, s.y
-    return ((x - b * y, -2 * c * y), (2 * a * y, x + b * y))
+    even = b % 2 == 0
+    s = pell_fundamental(f.disc // 4 if even else f.disc)
+    t, u = 2 * s.x, (s.y if even else 2 * s.y)
+    return (((t - b * u) // 2, -c * u), (a * u, (t + b * u) // 2))
 
 
 def _mat2_inv_unimodular(m):
@@ -561,19 +564,6 @@ def _class_witness(f: BinaryForm, red: _Reduction, m: int, g_red, q):
     return v
 
 
-def _primitive_representation_witnesses(f: BinaryForm, red, m: int):
-    """One primitive solution of f = m per proper-automorphism class.
-
-    red is f's `_Reduction`, or None for a square discriminant, where the
-    solution set itself is finite and is returned whole.
-    """
-    if red is None:
-        return [v for v in sorted(_square_disc_solutions(f, m))
-                if gcd(v[0], v[1]) == 1]
-    return [_class_witness(f, red, m, *cls)
-            for cls in _classes(red, m, _sqrt_classes_mod(red.disc, m))]
-
-
 def _gram_exponent(a: int, h: int, c: int) -> int:
     """Exponent of the discriminant group of the nondegenerate Gram matrix
     ((a, h), (h, c)): its invariant factors are g = gcd(a, h, c), the gcd
@@ -595,19 +585,18 @@ def binary_roots(f: BinaryForm):
     iff m | 2 gcd(m, b/2), that is, iff m | b.  The class fixes b modulo
     2|m|, so of the square roots b in [0, 2|m|) of D mod 4|m| only 0 and |m|
     can carry a root; each takes one congruence test, with no
-    factorisation.  The first of them, in increasing b, whose form reduces
-    into f's cycle is the first class that passes the root test, and when
-    4m^2 < D and m is not a leading coefficient of the cycle, m has no
-    class at all.  The automorph that makes the witnesses canonical is
-    computed once, at the first root.
+    factorisation.  `_first_class` returns the first of them, in increasing
+    b, whose form reduces into f's cycle, which is the first class that
+    passes the root test.  The automorph that makes the witnesses canonical
+    is computed once, at the first root.
     """
     lat = f.gram_lattice()
     exponent = _gram_exponent(f.a, f.b // 2, f.c)
     out = []
     if is_square(f.disc):
         for d in divisors(2 * exponent):
-            v = next((v for v in _primitive_representation_witnesses(f, None, -d)
-                      if 2 * lat.divisibility(v) % d == 0), None)
+            v = next((v for v in sorted(_square_disc_solutions(f, -d))
+                      if gcd(*v) == 1 and 2 * lat.divisibility(v) % d == 0), None)
             if v is not None:
                 out.append((-d, _canonical_witness(None, v)))
         return tuple(out)
@@ -615,10 +604,8 @@ def binary_roots(f: BinaryForm):
     auto = None
     for d in divisors(2 * exponent):
         m = -d
-        if 4 * d * d < red.disc and m not in red.cycle[1]:
-            continue
-        bs = [b for b in (0, d) if (b * b - red.disc) % (4 * d) == 0]
-        cls = next(_classes(red, m, bs), None)
+        cls = _first_class(red, m, (b for b in (0, d)
+                                    if (b * b - red.disc) % (4 * d) == 0))
         if cls is None:
             continue
         v = _class_witness(f, red, m, *cls)

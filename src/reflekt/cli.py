@@ -386,17 +386,10 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         code = args.func(args)
-    except ToolkitError as exc:
+    except (ToolkitError, OSError) as exc:
         if args.format == "json":
-            print(json.dumps({"error": {"type": type(exc).__name__,
-                                        "message": str(exc)}},
-                             sort_keys=True))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        if args.format == "json":
-            print(json.dumps({"error": {"type": "OSError", "message": str(exc)}},
+            kind = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+            print(json.dumps({"error": {"type": kind, "message": str(exc)}},
                              sort_keys=True))
         else:
             print(f"error: {exc}", file=sys.stderr)

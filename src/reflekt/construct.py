@@ -51,9 +51,10 @@ def _brute_force_failures(a, b, c, bound):
     (x, y) with |x|, |y| <= 50, as at most one failure line giving their
     count and the smallest: an oracle independent of `binary`.  Since
     f(-v) = f(v), the half box x > 0, or x = 0 < y, has the same values."""
-    vals = {a * x * x + b * x * y + c * y * y
-            for x in range(1, 51) for y in range(-50, 51)}
-    vals.update(c * y * y for y in range(1, 51))
+    vals = {c * y * y for y in range(1, 51)}
+    for x in range(1, 51):
+        ax, bx = a * x * x, b * x
+        vals.update(ax + (bx + c * y) * y for y in range(-50, 51))
     hits = [-v for v in vals if -bound <= v <= 0]
     if not hits:
         return []
@@ -245,9 +246,9 @@ def _h_complement(ambient: Lattice, h):
     if d <= 0:
         raise InvalidInputError(f"h must have positive norm, got q(h) = {d}")
     comp = Sublattice(ambient, (h,)).orthogonal_complement()
-    t_index = Sublattice(ambient, comp.basis + (h,)).index_in(
-        Sublattice(ambient, intlinalg.identity(ambient.rank)))
-    return h, d, comp, t_index
+    # the rows are independent (h is off h^perp, as q(h) > 0), so |det| is
+    # the index of their span in Z^n
+    return h, d, comp, abs(intlinalg.det(comp.basis + (h,)))
 
 
 def _pair_frac(gram, u, v):

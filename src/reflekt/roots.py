@@ -51,9 +51,8 @@ def reflect(lat: Lattice, v, u):
     v = lat._check_vector(v)
     q = lat.norm(v)
     p = lat.evaluate(u, v)
-    factor, rem = divmod(2 * p, q)
-    if rem:
-        raise NotARootError("reflection is not integral; v is not a root")
+    # q divides 2 div(v), and (u, v) is a multiple of div(v)
+    factor = 2 * p // q
     return tuple(ui - factor * vi for ui, vi in zip(u, v))
 
 

@@ -178,6 +178,29 @@ class TestPell:
         for v in ((1, 0), (0, 1), (1, 1), (3, -2)):
             assert f.value(*b._apply(m, v)) == f.value(*v)
 
+    def test_automorph_matches_the_two_branch_formula(self):
+        # the parity split the one formula replaced: for even b the unit of
+        # x^2 - (b^2/4 - ac) y^2 = 1, for odd b that of x^2 - D y^2 = 1
+        def two_branch(a, bb, c):
+            if bb % 2 == 0:
+                s = b.pell_fundamental((bb // 2) ** 2 - a * c)
+                h = bb // 2
+                return ((s.x - h * s.y, -c * s.y), (a * s.y, s.x + h * s.y))
+            s = b.pell_fundamental(bb * bb - 4 * a * c)
+            return ((s.x - bb * s.y, -2 * c * s.y), (2 * a * s.y, s.x + bb * s.y))
+
+        import random
+        rng = random.Random(13)
+        odd = 0
+        for _ in range(600):
+            t = tuple(rng.randint(-40, 40) for _ in range(3))
+            disc = t[1] ** 2 - 4 * t[0] * t[2]
+            if disc <= 0 or b.is_square(disc):
+                continue
+            assert b.fundamental_automorph(b.BinaryForm(*t)) == two_branch(*t), t
+            odd += t[1] % 2
+        assert odd >= 100, odd
+
 
 class TestRepresents:
     def test_examples(self):
@@ -423,7 +446,7 @@ class TestFastPathsMatchOracles:
         f = b.BinaryForm(*t)
         if not b.is_anisotropic(f):
             return
-        assert b._represents_primitively(b._reduction(f), n) == \
+        assert (b._first_class(b._reduction(f), n) is not None) == \
             primitive_oracle(f, n)
         assert b.represents(f, n) == any(
             primitive_oracle(f, m) for _, m in square_parts_oracle(n))
@@ -444,7 +467,7 @@ class TestFastPathsMatchOracles:
         def no_class_search(*args):
             raise AssertionError("mu ran a class search")
 
-        for name in ("_classes", "_sqrt_classes_mod", "factorize"):
+        for name in ("_first_class", "_sqrt_classes_mod", "factorize"):
             mp.setattr(b, name, no_class_search)
 
     @staticmethod
@@ -505,14 +528,72 @@ class TestFastPathsMatchOracles:
         if not b.is_anisotropic(f):
             return
         red = b._reduction(f)
-        assert b._primitive_representation_witnesses(f, red, n) == \
-            witness_walk_oracle(f, n)
+
+        def first_witness(m):
+            cls = b._first_class(red, m)
+            return [] if cls is None else [b._class_witness(f, red, m, *cls)]
+
+        assert first_witness(n) == witness_walk_oracle(f, n)[:1]
         if t[1] % 2 == 0:
             # every norm binary_roots tries
             exponent = f.gram_lattice().discriminant().exponent
             for d in divisors(2 * exponent):
-                assert b._primitive_representation_witnesses(f, red, -d) == \
-                    witness_walk_oracle(f, -d), (t, d)
+                assert first_witness(-d) == witness_walk_oracle(f, -d)[:1], (t, d)
+
+    def test_witness_searches_one_class(self, monkeypatch):
+        # forms shaped like the perfbench binary_queries pool, (a, 2h, c)
+        # with h^2 - ac log-spread over 250..250 000, queried at mu, at -6..6
+        # and at values f(x, y) with |x|, |y| <= 4 (small enough for the
+        # scanning oracle): each call witnesses one class only, and a square
+        # part m with 4m^2 < D that is not a leading coefficient gets no
+        # square roots at all
+        import random
+        rng = random.Random(14)
+        forms = []
+        while len(forms) < 40:
+            target = int(250 * 1000 ** rng.random())
+            s = isqrt(target)
+            a, h = rng.choice((-1, 1)) * rng.randint(1, s), rng.randint(1, s)
+            c = (h * h - target) // a
+            if c and not b.is_square(h * h - a * c):
+                forms.append(b.BinaryForm(a, 2 * h, c))
+        witnessed, rooted = [], []
+        class_witness, sqrt_classes = b._class_witness, b._sqrt_classes_mod
+
+        def counted_witness(*args):
+            witnessed.append(args)
+            return class_witness(*args)
+
+        def counted_sqrt(disc, m):
+            rooted.append(m)
+            return sqrt_classes(disc, m)
+
+        monkeypatch.setattr(b, "_class_witness", counted_witness)
+        monkeypatch.setattr(b, "_sqrt_classes_mod", counted_sqrt)
+        small_non_leads = multi = 0
+        for f in forms:
+            leads = {g[0] for g in cycle_oracle(f)}
+            ns = [b.mu(f)] + [n for n in range(-6, 7) if n]
+            ns += [f.value(rng.randint(-4, 4), rng.randint(-4, 4) or 1)
+                   for _ in range(4)]
+            for n in ns:
+                witnessed.clear()
+                rooted.clear()
+                got = b.representation_witness(f, n)
+                assert len(witnessed) <= 1, (f, n)
+                skipped = [m for _, m in square_parts_oracle(n)
+                           if 4 * m * m < f.disc and m not in leads]
+                assert not set(skipped) & set(rooted), (f, n)
+                small_non_leads += len(skipped)
+                expected = None
+                for t, m in square_parts_oracle(n):
+                    ws = witness_walk_oracle(f, m)
+                    multi += len(ws) >= 2
+                    if ws:
+                        expected = (t * ws[0][0], t * ws[0][1])
+                        break
+                assert got == expected, (f, n)
+        assert small_non_leads >= 300 and multi >= 100, (small_non_leads, multi)
 
     @given(st.integers(-10**7, 10**7).filter(bool))
     @example(2**12 * 3**6)
