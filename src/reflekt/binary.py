@@ -10,13 +10,16 @@ each square root b of D modulo 4|m| gives a form (m, b, c), and m is
 primitively represented iff one of them reduces into the cycle of f; the
 reducing matrices turn the first such class into a witness.
 
-Each public call reduces f once.  Each cycle is walked once and kept as a
-record: the position of every form in rho order, the set of leading
-coefficients, and the t of every rho step, whose matrix is
+Each public call reduces f once.  `represents`, `representation_witness`
+and `binary_roots` walk each cycle once and keep it as a record, in a cache
+of the 64 most recently used: the position of every form in rho order, the
+set of leading coefficients, and the t of every rho step, whose matrix is
 ((0, -1), (1, t)).  Both cycle tests are then lookups, and a witness
 multiplies the stored steps from f's reduced form to its class's instead
 of walking the cycle again.  mu is the largest negative leading coefficient
-of the cycle, read off the record (the proof is in `mu`).
+of the cycle (the proof is in `mu`).  It reads the leads of a cached record
+when there is one, and otherwise streams the cycle in O(1) memory and stops
+at a lead of -1; it never builds a record.
 
 The square roots come from the factorisation of 4|m|: Tonelli-Shanks
 modulo each odd prime, a Hensel lift to each prime power, and CRT.  That
@@ -35,7 +38,6 @@ lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -233,27 +235,53 @@ def _reduce_form(form, disc, sq):
         f"reduction of {form} took more than {_REDUCE_CAP} steps")
 
 
+def _walk(start, disc, sq):
+    """The rho-cycle through the reduced form start, streamed: each form in
+    rho order from start, with the t of the step that leaves it.  A cycle
+    longer than _CYCLE_CAP forms raises EffortLimitExceeded.
+
+    The step is `_rho`'s second branch, inlined: every form of the cycle is
+    reduced, and a reduced form has |c| <= isqrt(D), since 4|ac| = D - b^2
+    < (sq + 1 - b)(sq + 1 + b) and 2|a| >= sq + 1 - b give
+    2|c| < sq + 1 + b <= 2 sq + 1."""
+    cur = start
+    _, b, c = start
+    for _ in range(_CYCLE_CAP):
+        r = sq - (sq + b) % (2 * abs(c))
+        yield cur, (b + r) // (2 * c)
+        cur = _, b, c = c, r, (r * r - disc) // (4 * c)
+        if cur == start:
+            return
+    raise EffortLimitExceeded(
+        f"cycle through {start} is longer than {_CYCLE_CAP} forms")
+
+
+# The cycle records of `_cycle`, keyed by start form, oldest use first.
 # Sized for repeated queries on a few forms at a time: every entry can hold
-# a long cycle, so a larger cache mostly costs memory.
-@lru_cache(maxsize=64)
+# a long cycle, so a larger cache mostly costs memory.  `mu` reads a record
+# here when one exists, but never adds or reorders one.
+_RECORD_SLOTS = 64
+_records = {}
+
+
 def _cycle(start):
     """The rho-cycle through a reduced form, as (positions, leads, steps):
     a read-only dict from each form to its index in rho order from start,
     the frozenset of the forms' leading coefficients, and the t of each rho
-    step, steps[i] leading from the form at index i to the next."""
-    disc = start[1] ** 2 - 4 * start[0] * start[2]
-    sq = isqrt(disc)
-    pos = {start: 0}
-    cur, t = _rho(*start, disc, sq)
-    steps = [t]
-    while cur != start:
-        if len(pos) >= _CYCLE_CAP:
-            raise EffortLimitExceeded(
-                f"cycle through {start} is longer than {_CYCLE_CAP} forms")
-        pos[cur] = len(pos)
-        cur, t = _rho(*cur, disc, sq)
-        steps.append(t)
-    return pos, frozenset(g[0] for g in pos), tuple(steps)
+    step, steps[i] leading from the form at index i to the next.  Kept in
+    `_records`, least recently used first."""
+    record = _records.pop(start, None)
+    if record is None:
+        disc = start[1] ** 2 - 4 * start[0] * start[2]
+        pos, steps = {}, []
+        for g, t in _walk(start, disc, isqrt(disc)):
+            pos[g] = len(steps)
+            steps.append(t)
+        record = pos, frozenset(g[0] for g in pos), tuple(steps)
+        if len(_records) >= _RECORD_SLOTS:
+            del _records[next(iter(_records))]
+    _records[start] = record
+    return record
 
 
 class _Reduction(NamedTuple):
@@ -469,13 +497,33 @@ def mu(f: BinaryForm) -> int:
        would lie strictly between the lattice points u and (t + 1) u of C,
        and f(t u) = t^2 f(u) is farther from 0 than f(u) in any case.  So
        mu is the value at a primitive vector, the first column above, and
-       the cycle record alone decides it: no square root, factorisation or
-       class search is needed.
+       the leads of the cycle alone decide it: no square root,
+       factorisation or class search is needed.
+
+    mu reduces f once.  If a query that needs positions or steps
+    (`represents`, `representation_witness`, `binary_roots`) has left a
+    record of that cycle, mu reads its leads.  Otherwise it walks the cycle
+    keeping only the running maximum of the negative leads, in O(1) memory,
+    and stops at a lead of -1, since no negative value is larger.  It never
+    builds a record.
     """
     if not is_anisotropic(f):
         raise IsotropicFormError(
             "mu is undefined for isotropic forms in this toolkit")
-    return max(a for a in _reduction(f).cycle[1] if a < 0)
+    disc = f.disc
+    sq = isqrt(disc)
+    start, _ = _reduce_form((f.a, f.b, f.c), disc, sq)
+    record = _records.get(start)
+    if record is not None:
+        return max(a for a in record[1] if a < 0)
+    # a reduced form has ac < 0, and c leads the next form of the cycle
+    best = min(start[0], start[2])
+    for (a, _, _), _ in _walk(start, disc, sq):
+        if a == -1:
+            return a
+        if best < a < 0:
+            best = a
+    return best
 
 
 # -- automorphs and root norms ----------------------------------------------

@@ -386,6 +386,121 @@ class TestMu:
         assert all(v <= m for v in negs)
 
 
+# (form, its reduced start form, mu) for D from 1.6 * 10^9 to 4 * 10^10
+LARGE_MU_FORMS = [
+    ((1, 0, -999_999_937), (1, 63244, -49053), -1),
+    ((1, 0, -1_000_000_007), (1, 63244, -49123), -19),
+    ((1, 0, -9_999_999_967), (1, 199998, -199966), -3),
+    ((3, 7, -1_234_567_891), (3, 121711, -103935), -11),
+    ((-10_007, 3, 250_000), (-10007, 80059, 89876), -10),
+    ((4, 0, -4 * 99_999_989), (4, 79992, -79952), -4),
+]
+
+
+class TestStreamedMu:
+    """mu streams the cycle unless a record of it is cached: both routes
+    against the downward loop of conftest.mu_oracle."""
+
+    @staticmethod
+    def both_routes(f):
+        b._records.clear()
+        try:
+            streamed = b.mu(f)
+            assert not b._records
+            b._reduction(f)
+            return streamed, b.mu(f)
+        finally:
+            b._records.clear()
+
+    # x^2 - 2y^2, x^2 - 13y^2 and -x^2 + 7y^2 have mu = -1 and stop early;
+    # the last reduces to (-1, 4, 3), a start with a negative lead, as do
+    # -3x^2 + xy + 5y^2 and -2x^2 + 14y^2; the three after are imprimitive
+    @given(indefinite_forms())
+    @example((1, 0, -2))
+    @example((1, 0, -13))
+    @example((-1, 0, 7))
+    @example((-3, 1, 5))
+    @example((-2, 0, 14))
+    @example((2, 0, -6))
+    @example((3, 3, -3))
+    @example((6, 0, -10))
+    @settings(max_examples=200, deadline=None)
+    def test_both_routes_match_the_oracle(self, t):
+        f = b.BinaryForm(*t)
+        if b.is_anisotropic(f):
+            expected = mu_oracle(f)
+            assert self.both_routes(f) == (expected, expected), t
+
+    @pytest.mark.parametrize("t,start,expected", LARGE_MU_FORMS)
+    def test_both_routes_on_large_discriminants(self, t, start, expected):
+        f = b.BinaryForm(*t)
+        assert b._reduce_form(t, f.disc, isqrt(f.disc))[0] == start
+        assert mu_oracle(f) == expected
+        assert self.both_routes(f) == (expected, expected)
+
+    def test_walk_stops_at_minus_one(self, monkeypatch):
+        # in x^2 - d y^2 with a solution of x^2 - d y^2 = -1, the lead -1
+        # sits halfway round the cycle: a cap that admits the forms up to it
+        # lets mu answer, though the record of the whole cycle is refused
+        for d in (13, 61, 1021, 999_999_937):
+            f = b.BinaryForm.from_d(d)
+            cycle = cycle_oracle(f)
+            half = [g[0] for g in cycle].index(-1)
+            assert 2 * half == len(cycle)
+            b._records.clear()
+            monkeypatch.setattr(b, "_CYCLE_CAP", half + 1)
+            assert b.mu(f) == -1
+            with pytest.raises(EffortLimitExceeded):
+                b._reduction(f)
+            monkeypatch.setattr(b, "_CYCLE_CAP", half)
+            with pytest.raises(EffortLimitExceeded):
+                b.mu(f)
+
+    def test_mu_builds_no_record(self, monkeypatch):
+        def no_record(start):
+            raise AssertionError(f"mu built the cycle record of {start}")
+
+        forms = [b.BinaryForm.from_d(d) for d in NONSQUARE] + \
+            [b.BinaryForm(*t) for t in ((-1, 0, 7), (2, 0, -6), (1, -11, 11))]
+        b._records.clear()
+        monkeypatch.setattr(b, "_cycle", no_record)
+        for f in forms:
+            assert b.mu(f) == mu_oracle(f), f
+        assert not b._records
+
+    def test_streamed_mu_memory_is_flat(self):
+        # the record of this 97 532-form cycle takes about 23 MiB
+        import tracemalloc
+        f = b.BinaryForm.from_d(9_999_999_967)
+        b._records.clear()
+        tracemalloc.start()
+        try:
+            assert b.mu(f) == -3
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not b._records
+        assert peak < 2**20, peak
+
+    def test_record_cache_is_least_recently_used(self):
+        # the 64 most recently used cycles are kept; a hit renews an entry,
+        # and a read by mu does not
+        starts = [b._reduce_form((1, 0, -d), 4 * d, isqrt(4 * d))[0]
+                  for d in NONSQUARE[:b._RECORD_SLOTS + 1]]
+        b._records.clear()
+        try:
+            for s in starts[:b._RECORD_SLOTS]:
+                b._cycle(s)
+            assert b._cycle(starts[0]) is b._records[starts[0]]
+            b.mu(b.BinaryForm.from_d(NONSQUARE[1]))
+            b._cycle(starts[-1])
+            assert len(b._records) == b._RECORD_SLOTS
+            assert starts[1] not in b._records
+            assert list(b._records)[-2:] == [starts[0], starts[-1]]
+        finally:
+            b._records.clear()
+
+
 @st.composite
 def disc_and_target(draw):
     """(D, m): D <= 10^6 a discriminant, m = +-(any small m, a power of 2, an
@@ -439,6 +554,8 @@ class TestFastPathsMatchOracles:
         assert leads == frozenset(g[0] for g in cycle)
         disc, sq = f.disc, isqrt(f.disc)
         assert steps == tuple(b._rho(*g, disc, sq)[1] for g in cycle)
+        # the walk inlines only the branch of _rho taken when |c| <= sq
+        assert all(abs(g[2]) <= sq for g in cycle)
 
     @given(indefinite_forms(), st.integers(-60, 60).filter(bool))
     @settings(max_examples=300, deadline=None)
@@ -750,22 +867,47 @@ class TestBudgets:
     """Overflowing a reduction or cycle cap is a budget, not a bug."""
 
     def test_cycle_cap(self, monkeypatch):
-        b._cycle.cache_clear()
+        b._records.clear()
         monkeypatch.setattr(b, "_CYCLE_CAP", 2)
         try:
             with pytest.raises(EffortLimitExceeded):
                 b.mu(b.BinaryForm.from_d(94))
         finally:
-            b._cycle.cache_clear()
+            b._records.clear()
+
+    @pytest.mark.parametrize("t", [(1, 0, -94), (1, 0, -7), (3, 3, -3),
+                                   (-10_007, 3, 250_000)])
+    def test_streamed_and_recorded_cycles_share_the_cap(self, monkeypatch, t):
+        # no lead of -1, so the streamed walk runs the whole cycle: a cap of
+        # exactly its length admits both routes and one less refuses both,
+        # with the same text
+        f = b.BinaryForm(*t)
+        cycle = cycle_oracle(f)
+        assert -1 not in [g[0] for g in cycle]
+        refusal = f"cycle through {cycle[0]} is longer than {len(cycle) - 1} forms"
+        b._records.clear()
+        try:
+            monkeypatch.setattr(b, "_CYCLE_CAP", len(cycle))
+            assert b.mu(f) == mu_oracle(f)
+            assert len(b._reduction(f).cycle[2]) == len(cycle)
+            b._records.clear()
+            monkeypatch.setattr(b, "_CYCLE_CAP", len(cycle) - 1)
+            for route in (b.mu, b._reduction):
+                with pytest.raises(EffortLimitExceeded) as exc:
+                    route(f)
+                assert str(exc.value) == refusal
+            assert not b._records
+        finally:
+            b._records.clear()
 
     def test_reduce_cap(self, monkeypatch):
-        b._cycle.cache_clear()
+        b._records.clear()
         monkeypatch.setattr(b, "_REDUCE_CAP", 1)
         try:
             with pytest.raises(EffortLimitExceeded):
                 b.represents(b.BinaryForm.from_d(7), -3)
         finally:
-            b._cycle.cache_clear()
+            b._records.clear()
 
     def test_cf_period_cap(self, monkeypatch):
         # sqrt(7) = [2; 1, 1, 1, 4]: a period of 4 terms fits a cap of 4,

@@ -197,19 +197,26 @@ class TestBinaryCommands:
         assert x * x - d * y * y == 1
         assert x > 10**4300
 
-    @pytest.mark.parametrize("command", ["cf", "pell", "isometry"])
-    def test_period_past_the_cycle_cap_is_refused(self, capsys, monkeypatch, command):
-        # sqrt(7) has a period of 4 terms; under a cap of 3 the expansion
-        # stops with a budget error instead of growing its period list
+    @pytest.mark.parametrize("command,d,refusal", [
+        ("cf", 7, "the period of sqrt(7)"),
+        ("pell", 7, "the period of sqrt(7)"),
+        ("isometry", 7, "the period of sqrt(7)"),
+        ("mu", 94, "cycle through (1, 18, -13) is longer than 3 forms")],
+        ids=["cf", "pell", "isometry", "mu"])
+    def test_period_past_the_cycle_cap_is_refused(self, capsys, monkeypatch,
+                                                  command, d, refusal):
+        # sqrt(7) has a period of 4 terms and x^2 - 94y^2 a cycle of 16
+        # reduced forms, none with lead -1; under a cap of 3 the expansion
+        # and the streamed walk stop with a budget error
         from reflekt import binary
         monkeypatch.setattr(binary, "_CYCLE_CAP", 3)
-        code, out = run(capsys, "--format", "json", "binary", command, "-D", "7")
+        code, out = run(capsys, "--format", "json", "binary", command, "-D", str(d))
         assert code == 1
         assert json.loads(out)["error"]["type"] == "EffortLimitExceeded"
-        code = main(["binary", command, "-D", "7"])
+        code = main(["binary", command, "-D", str(d)])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert captured.err.startswith("error: the period of sqrt(7)")
+        assert captured.err.startswith(f"error: {refusal}")
 
     def test_domain_error_is_exit_1_with_json_object(self, capsys):
         code, out = run(capsys, "--format", "json", "binary", "mu", "-D", "9")
