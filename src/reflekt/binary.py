@@ -42,7 +42,7 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 from . import lattice as lattice_mod
-from .arith import divisors, factorize, is_nonresidue
+from .arith import divisors, factorize, is_nonresidue, smallest_nonresidue
 from .errors import (EffortLimitExceeded, InternalCheckError,
                      InvalidInputError, IsotropicFormError)
 
@@ -308,10 +308,7 @@ def _sqrt_mod_prime(a, p):
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while not is_nonresidue(z, p):
-        z += 1
-    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    c, t, r = pow(smallest_nonresidue(p), q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         i, t2 = 0, t
         while t2 != 1:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import binary, intlinalg
 from .arith import (DEFAULT_EFFORT_LIMIT, DETERMINISTIC_PRIMALITY_BOUND,
@@ -75,30 +75,31 @@ class AvoidRootsCertificate:
     form: binary.BinaryForm
 
 
-def avoid_roots(n: int, b: int, exclude=frozenset(),
-                effort_limit: int = DEFAULT_EFFORT_LIMIT) -> AvoidRootsCertificate:
-    """Smallest-prime certificate that x^2 - ab y^2 represents none of 0..-n.
-
-    Primes are distinct, greater than b, and chosen greedily for k = 1..n;
-    extra exclusions support generating strictly growing sequences of a.
-    """
-    if n < 1 or b < 1:
-        raise InvalidInputError("avoid_roots needs n >= 1 and b >= 1")
-    if effort_limit < 1:
-        raise InvalidInputError("effort limit must be positive")
-    used = set(exclude)
+def _nonresidue_primes(n, b, used, effort_limit):
+    """((k, p_k) for k = 1..n): p_k is the smallest prime above b, not in
+    `used`, with -k a nonresidue mod p_k.  Each p_k joins `used`, so repeated
+    calls sharing one set give distinct primes."""
     primes = []
     for k in range(1, n + 1):
         p = nonresidue_prime(k, exclude=frozenset(used), minimum=b + 1,
                              effort_limit=effort_limit)
         used.add(p)
         primes.append((k, p))
-    a = 1
-    for _, p in primes:
-        a *= p
+    return tuple(primes)
+
+
+def avoid_roots(n: int, b: int,
+                effort_limit: int = DEFAULT_EFFORT_LIMIT) -> AvoidRootsCertificate:
+    """Smallest-prime certificate that x^2 - ab y^2 represents none of 0..-n;
+    its primes are distinct, greater than b, and chosen greedily for k = 1..n."""
+    if n < 1 or b < 1:
+        raise InvalidInputError("avoid_roots needs n >= 1 and b >= 1")
+    if effort_limit < 1:
+        raise InvalidInputError("effort limit must be positive")
+    primes = _nonresidue_primes(n, b, set(), effort_limit)
+    a = prod(p for _, p in primes)
     return _validated(validate_avoid_roots, AvoidRootsCertificate(
-        n=n, b=b, primes=tuple(primes), a=a,
-        form=binary.BinaryForm.from_d(a * b)))
+        n=n, b=b, primes=primes, a=a, form=binary.BinaryForm.from_d(a * b)))
 
 
 def validate_avoid_roots(cert: AvoidRootsCertificate) -> list[str]:
@@ -337,10 +338,11 @@ def mj_family(ambient: Lattice, h, big_n: int, count: int,
     The construction: take a primitive isotropic e in the h-complement with
     pairing ideal mZ, extend by e/m to an integral overlattice, find an
     isotropic partner f~ with (e/m, f~) = 1, and set u_a = e/m - d*a*f~ of
-    norm -2da.  A strategy supplies a strictly increasing sequence of a;
-    each candidate entry is accepted only after every final check passes
-    directly on the saturated sublattice spanned by v (the primitive
-    generator below u_a) and h.
+    norm -2da.  A strategy supplies a strictly increasing sequence of a; the
+    primes strategy uses the avoid_roots recipe's primes directly, fresh ones
+    for each a, and builds no avoid-roots certificate.  Each candidate entry
+    is accepted only after every final check passes directly on the
+    saturated sublattice spanned by v (the primitive generator below u_a) and h.
     """
     if big_n < 1 or count < 1:
         raise InvalidInputError("mj_family needs N >= 1 and count >= 1")
@@ -365,7 +367,7 @@ def mj_family(ambient: Lattice, h, big_n: int, count: int,
     entries = []
     a = None
     prev_norm = 0
-    exclude_primes: set[int] = set()
+    used: set[int] = set()
     tried = 0
     while len(entries) < count:
         tried += 1
@@ -375,10 +377,8 @@ def mj_family(ambient: Lattice, h, big_n: int, count: int,
         if strategy == STRATEGY_PELL:
             a = (select_pell_a(threshold) if a is None else a + 1)
         else:
-            cert = avoid_roots(threshold, 2, exclude=frozenset(exclude_primes),
-                               effort_limit=effort_limit)
-            exclude_primes.update(p for _, p in cert.primes)
-            a = cert.a
+            a = prod(p for _, p in _nonresidue_primes(threshold, 2, used,
+                                                        effort_limit))
         result = _build_entry(ambient, h, d, e_tilde, f_tilde, a,
                               big_n, t_index)
         if result is None:

@@ -1,15 +1,17 @@
+import hashlib
 import itertools
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 from conftest import U, brute_values, diag, dsum, isotropic_partner_oracle
 from reflekt import binary, serialize
 from reflekt import construct as c
-from reflekt.arith import is_prime, jacobi
+from reflekt.arith import DEFAULT_EFFORT_LIMIT, is_prime, jacobi
 from reflekt.errors import (CertificateError, ConstructionError,
                             EffortLimitExceeded, InternalCheckError,
                             InvalidInputError, ToolkitError)
@@ -63,9 +65,13 @@ class TestAvoidRoots:
             assert c.validate_avoid_roots(c.avoid_roots(n, 2)) == []
 
     def test_exclusion_grows_a(self):
-        c1 = c.avoid_roots(2, 1)
-        c2 = c.avoid_roots(2, 1, exclude=frozenset(p for _, p in c1.primes))
-        assert c2.a > c1.a
+        used = set()
+        first = c._nonresidue_primes(2, 1, used, DEFAULT_EFFORT_LIMIT)
+        assert first == c.avoid_roots(2, 1).primes
+        second = c._nonresidue_primes(2, 1, used, DEFAULT_EFFORT_LIMIT)
+        assert not {p for _, p in first} & {p for _, p in second}
+        assert prod(p for _, p in second) > prod(p for _, p in first)
+        assert used == {p for _, p in first + second}
 
     def test_input_validation(self):
         with pytest.raises(InvalidInputError):
@@ -156,6 +162,28 @@ class TestMjFamily:
         assert entry.a > 1
         assert entry.mu < -cert.d
         assert c.validate_mj(cert) == []
+
+    def test_primes_strategy_builds_no_avoid_roots_certificate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mj_family built an avoid-roots certificate")
+
+        monkeypatch.setattr(c, "avoid_roots", refuse)
+        monkeypatch.setattr(c, "validate_avoid_roots", refuse)
+        cert = c.mj_family(U3, H, 1, 4, strategy=c.STRATEGY_PRIMES)
+        assert [e.a for e in cert.entries] == [
+            234577, 96480409, 728898593, 3798637081]
+        text = serialize.dumps(serialize.mj_to_obj(cert))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "14b72298015772923e88a6a803ff779dee6d5101fb93aa1ab050ad9744bec720")
+
+    def test_primes_strategy_cap_names_the_entry_form(self, monkeypatch):
+        # the first candidate's entry form (2, 0, -4a) is the first cycle
+        # walked; x^2 - 2a y^2 is no longer checked on the way
+        monkeypatch.setattr(binary, "_CYCLE_CAP", 3)
+        binary._records.clear()
+        with pytest.raises(EffortLimitExceeded, match=re.escape(
+                "cycle through (2, 2736, -2596) is longer than 3 forms")):
+            c.mj_family(U3, H, 1, 1, strategy=c.STRATEGY_PRIMES)
 
     def test_wrong_signature_rejected(self):
         with pytest.raises(InvalidInputError):
