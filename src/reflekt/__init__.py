@@ -7,8 +7,8 @@ predicates, and certificate-producing constructions of anisotropic binary
 lattices avoiding prescribed negative values.
 """
 
-from .arith import (Congruence, PrimeSearchSpec, crt, find_prime, gcd_ext,
-                    is_prime, jacobi, nonresidue_prime)
+from .arith import (crt, find_prime, gcd_ext, is_prime, jacobi,
+                    nonresidue_prime)
 from .binary import (BinaryForm, CFExpansion, PellSolution, binary_roots,
                      cf_sqrt, is_anisotropic, mu, pell_fundamental,
                      representation_witness, represents)
@@ -23,9 +23,9 @@ from .roots import (ReflectivityVerdict, find_roots_in_box, is_root, reflect,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AvoidRootsCertificate", "BinaryForm", "CFExpansion", "Congruence",
+    "AvoidRootsCertificate", "BinaryForm", "CFExpansion",
     "DiscriminantData", "Lattice", "MjCertificate", "PellSolution",
-    "PrimeSearchSpec", "ReflectivityVerdict", "Sublattice", "ToolkitError",
+    "ReflectivityVerdict", "Sublattice", "ToolkitError",
     "avoid_roots", "binary_roots", "cf_sqrt", "crt", "find_prime", "find_roots_in_box",
     "gcd_ext", "is_anisotropic", "is_prime", "is_root",
     "jacobi", "mj_family", "mu", "nonresidue_prime", "nv_complements",

@@ -8,7 +8,6 @@ raises EffortLimitExceeded rather than silently truncating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import EffortLimitExceeded, InternalCheckError, InvalidInputError
@@ -101,76 +100,54 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Congruence:
-    """The condition value = residue (mod modulus)."""
+def crt(congruences) -> tuple[int, int]:
+    """Combine (residue, modulus) pairs with pairwise coprime moduli into the
+    single pair (r, m), 0 <= r < m, with m the product of the moduli.
 
-    residue: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise InvalidInputError(f"modulus must be >= 1, got {self.modulus}")
-        if not 0 <= self.residue < self.modulus:
-            raise InvalidInputError(
-                f"residue must satisfy 0 <= r < {self.modulus}, got {self.residue}")
-
-    def holds_for(self, n: int) -> bool:
-        return n % self.modulus == self.residue
-
-
-def crt(congruences) -> Congruence:
-    """Combine congruences with pairwise coprime moduli into a single one."""
+    Each modulus must be >= 1 and each residue in [0, modulus).  No pairs
+    give (0, 1).
+    """
     r, m = 0, 1
-    for c in congruences:
-        g, x, _ = gcd_ext(m, c.modulus)
+    for residue, modulus in congruences:
+        if modulus < 1:
+            raise InvalidInputError(f"modulus must be >= 1, got {modulus}")
+        if not 0 <= residue < modulus:
+            raise InvalidInputError(
+                f"residue must satisfy 0 <= r < {modulus}, got {residue}")
+        g, x, _ = gcd_ext(m, modulus)
         if g != 1:
             raise InvalidInputError(
-                f"moduli {m} and {c.modulus} are not coprime (gcd {g})")
-        # r' = r (mod m), r' = c.residue (mod c.modulus)
-        lift = (c.residue - r) * x % c.modulus
-        r = r + m * lift
-        m = m * c.modulus
-        r %= m
-    return Congruence(residue=r, modulus=m)
+                f"moduli {m} and {modulus} are not coprime (gcd {g})")
+        # r' = r (mod m), r' = residue (mod modulus), and 0 <= r' < m * modulus
+        r += m * ((residue - r) * x % modulus)
+        m *= modulus
+    return r, m
 
 
-@dataclass(frozen=True)
-class PrimeSearchSpec:
-    """A prime search target: congruences to satisfy, primes to avoid, a floor."""
-
-    congruences: tuple[Congruence, ...]
-    exclude: frozenset[int] = frozenset()
-    minimum: int = 2
-
-    def __post_init__(self):
-        if self.minimum < 1:
-            raise InvalidInputError(f"minimum must be >= 1, got {self.minimum}")
-        object.__setattr__(self, "congruences", tuple(self.congruences))
-        object.__setattr__(self, "exclude", frozenset(self.exclude))
-
-
-def find_prime(spec: PrimeSearchSpec, effort_limit: int = DEFAULT_EFFORT_LIMIT) -> int:
-    """Smallest prime satisfying the spec.
+def find_prime(congruences, minimum: int = 2, exclude=frozenset(),
+               effort_limit: int = DEFAULT_EFFORT_LIMIT) -> int:
+    """Smallest prime >= minimum, not in exclude, satisfying every
+    (residue, modulus) pair of congruences (combined by crt).
 
     Requires the combined residue to be coprime to the combined modulus
     (otherwise the progression contains at most one prime and Dirichlet
     does not apply).
     """
-    combined = crt(spec.congruences)
-    r, m = combined.residue, combined.modulus
+    if minimum < 1:
+        raise InvalidInputError(f"minimum must be >= 1, got {minimum}")
+    r, m = crt(congruences)
     if m > 1 and gcd(r, m) != 1:
         raise InvalidInputError(
             f"progression {r} mod {m} has residue not coprime to modulus")
-    start = max(spec.minimum, 2)
+    start = max(minimum, 2)
     n = start + (r - start) % m
     for _ in range(effort_limit):
-        if n not in spec.exclude and is_prime(n):
+        if n not in exclude and is_prime(n):
             return n
         n += m
     raise EffortLimitExceeded(
         f"no prime found in {r} mod {m} within {effort_limit} candidates "
-        f"(minimum {spec.minimum})")
+        f"(minimum {minimum})")
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
@@ -231,11 +208,6 @@ def smallest_nonresidue(q: int) -> int:
     return r
 
 
-def odd_prime_factors(k: int) -> tuple[int, ...]:
-    """Distinct odd prime factors of k, in increasing order."""
-    return tuple(p for p, _ in factorize(k) if p != 2)
-
-
 def nonresidue_prime(k: int, exclude=frozenset(), minimum: int = 2,
                      effort_limit: int = DEFAULT_EFFORT_LIMIT) -> int:
     """Smallest admissible prime p such that -k is a quadratic nonresidue mod p.
@@ -243,22 +215,19 @@ def nonresidue_prime(k: int, exclude=frozenset(), minimum: int = 2,
     The congruence recipe: p = -1 (mod 8) makes (-1/p) = -1 and (2/p) = 1;
     for each odd prime q | k the residue of p mod q is chosen so that by
     quadratic reciprocity (q/p) = +1.  The product of symbols is then -1
-    regardless of the multiplicities in k.  The recipe is sufficient, but
-    the returned prime is always confirmed directly by Euler's criterion.
+    regardless of the multiplicities in k.  find_prime searches the
+    (residue, modulus) pairs (7, 8), then (1, q) for q = 1 (mod 4) and
+    (least nonresidue of q, q) for q = 3 (mod 4).  The recipe is
+    sufficient, but the returned prime is always confirmed directly by
+    Euler's criterion.
     """
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
-    congruences = [Congruence(7, 8)]
-    for q in odd_prime_factors(k):
-        if q % 4 == 1:
-            # want (p/q) = +1; p = 1 (mod q) works
-            congruences.append(Congruence(1, q))
-        else:
-            # want (p/q) = -1 so that reciprocity flips it back to (q/p) = +1
-            congruences.append(Congruence(smallest_nonresidue(q), q))
-    spec = PrimeSearchSpec(congruences=tuple(congruences),
-                           exclude=frozenset(exclude), minimum=minimum)
-    p = find_prime(spec, effort_limit=effort_limit)
+    # q = 1 (mod 4): p = 1 (mod q) gives (p/q) = +1; q = 3 (mod 4): a
+    # nonresidue gives (p/q) = -1, which reciprocity flips to (q/p) = +1
+    congruences = [(7, 8)] + [(1 if q % 4 == 1 else smallest_nonresidue(q), q)
+                              for q, _ in factorize(k) if q != 2]
+    p = find_prime(congruences, minimum, exclude, effort_limit)
     if k % p == 0:
         raise InternalCheckError(
             f"p={p} divides k={k}; the congruences should forbid this")

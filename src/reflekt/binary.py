@@ -510,6 +510,7 @@ def mu(f: BinaryForm) -> int:
     disc = f.disc
     sq = isqrt(disc)
     start, _ = _reduce_form((f.a, f.b, f.c), disc, sq)
+    # keep this read: a cached record's leads are cheaper than a re-walk
     record = _records.get(start)
     if record is not None:
         return max(a for a in record[1] if a < 0)

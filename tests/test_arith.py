@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflekt.arith import (Congruence, PrimeSearchSpec, crt, divisors,
-                           factorize, find_prime, gcd_ext, is_nonresidue,
-                           is_prime, jacobi, nonresidue_prime,
-                           odd_prime_factors, smallest_nonresidue)
+from reflekt.arith import (crt, divisors, factorize, find_prime, gcd_ext,
+                           is_nonresidue, is_prime, jacobi, nonresidue_prime,
+                           smallest_nonresidue)
 from conftest import factorize_oracle
 from reflekt.arith import DEFAULT_EFFORT_LIMIT
 from reflekt.errors import EffortLimitExceeded, InvalidInputError
@@ -95,63 +94,75 @@ class TestIsPrime:
             is_prime(0)
 
 
-class TestCongruence:
-    def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            Congruence(3, 2)
-        with pytest.raises(InvalidInputError):
-            Congruence(0, 0)
-        Congruence(0, 1)
+class TestPairValidation:
+    """crt and find_prime reject a bad (residue, modulus) pair or minimum."""
+
+    @pytest.mark.parametrize("pairs, text", [
+        ([(0, 0)], "modulus must be >= 1, got 0"),
+        ([(3, 2)], "residue must satisfy 0 <= r < 2, got 3"),
+        ([(-1, 5)], "residue must satisfy 0 <= r < 5, got -1"),
+    ])
+    def test_bad_pair(self, pairs, text):
+        with pytest.raises(InvalidInputError, match=text):
+            crt(pairs)
+        with pytest.raises(InvalidInputError, match=text):
+            find_prime(pairs)
+
+    def test_bad_minimum(self):
+        with pytest.raises(InvalidInputError, match="minimum must be >= 1, got 0"):
+            find_prime([(7, 8)], minimum=0)
 
 
 class TestCrt:
     def test_examples(self):
-        assert crt([Congruence(7, 8), Congruence(2, 3)]) == Congruence(23, 24)
-        assert crt([Congruence(0, 1)]) == Congruence(0, 1)
-        assert crt([Congruence(1, 2), Congruence(1, 3)]) == Congruence(1, 6)
+        assert crt([(7, 8), (2, 3)]) == (23, 24)
+        assert crt([(0, 1)]) == (0, 1)
+        assert crt([(1, 2), (1, 3)]) == (1, 6)
 
     def test_empty(self):
-        assert crt([]) == Congruence(0, 1)
+        assert crt([]) == (0, 1)
 
     def test_rejects_non_coprime(self):
-        with pytest.raises(InvalidInputError):
-            crt([Congruence(1, 4), Congruence(3, 6)])
+        with pytest.raises(InvalidInputError,
+                           match=r"moduli 4 and 6 are not coprime \(gcd 2\)"):
+            crt([(1, 4), (3, 6)])
 
     @given(st.lists(st.sampled_from([(1, 2), (2, 3), (3, 5), (5, 7), (7, 11)]),
                     unique_by=lambda t: t[1], max_size=5))
     def test_output_satisfies_inputs(self, pairs):
-        congruences = [Congruence(r, m) for r, m in pairs]
-        out = crt(congruences)
+        r, m = crt(pairs)
         prod = 1
-        for _, m in pairs:
-            prod *= m
-        assert out.modulus == prod
-        for c in congruences:
-            assert c.holds_for(out.residue)
+        for _, m_i in pairs:
+            prod *= m_i
+        assert m == prod
+        assert 0 <= r < m
+        for r_i, m_i in pairs:
+            assert r % m_i == r_i
 
 
 class TestFindPrime:
     def test_examples(self):
-        assert find_prime(PrimeSearchSpec((Congruence(7, 8),))) == 7
-        assert find_prime(PrimeSearchSpec((Congruence(7, 8),),
-                                          exclude=frozenset({7}))) == 23
-        assert find_prime(PrimeSearchSpec((Congruence(7, 8), Congruence(2, 3)))) == 23
+        assert find_prime([(7, 8)]) == 7
+        assert find_prime([(7, 8)], exclude=frozenset({7})) == 23
+        assert find_prime([(7, 8), (2, 3)]) == 23
 
     def test_deterministic(self):
-        spec = PrimeSearchSpec((Congruence(3, 4), Congruence(2, 5)), minimum=10)
-        assert find_prime(spec) == find_prime(spec)
+        pairs = [(3, 4), (2, 5)]
+        assert find_prime(pairs, minimum=10) == find_prime(pairs, minimum=10)
 
     def test_minimum_respected(self):
-        assert find_prime(PrimeSearchSpec((Congruence(7, 8),), minimum=8)) == 23
+        assert find_prime([(7, 8)], minimum=8) == 23
 
     def test_rejects_bad_progression(self):
-        with pytest.raises(InvalidInputError):
-            find_prime(PrimeSearchSpec((Congruence(2, 4),)))
+        with pytest.raises(InvalidInputError,
+                           match="progression 2 mod 4 has residue not coprime"):
+            find_prime([(2, 4)])
 
     def test_effort_limit_is_explicit(self):
-        spec = PrimeSearchSpec((Congruence(7, 8),), minimum=2)
-        with pytest.raises(EffortLimitExceeded):
-            find_prime(spec, effort_limit=0)
+        with pytest.raises(EffortLimitExceeded,
+                           match=r"no prime found in 7 mod 8 within 0 candidates "
+                                 r"\(minimum 2\)"):
+            find_prime([(7, 8)], minimum=2, effort_limit=0)
 
 
 @pytest.mark.parametrize("p", [2] + SMALL_ODD_PRIMES)
@@ -179,6 +190,33 @@ class TestNonresiduePrime:
         assert p2 > p1
         assert nonresidue_prime(5, minimum=p1 + 1) == p2
 
+    # (k, minimum, prime): several odd prime factors, a repeated factor
+    # (117 = 3^2 * 13), a power of 2, and a large floor
+    PINNED = [(15, 2, 71), (105, 2, 311), (117, 2, 599), (15015, 31, 117911),
+              (8, 100, 103), (997, 300000, 317047)]
+
+    @pytest.mark.parametrize("k, minimum, expected", PINNED)
+    def test_multi_congruence_primes_are_pinned(self, k, minimum, expected):
+        assert nonresidue_prime(k, minimum=minimum) == expected
+        assert _recipe_scan(k, minimum) == expected
+
+
+def _recipe_scan(k, minimum):
+    """Smallest prime p >= minimum with p = 7 (mod 8) and, for each odd prime
+    q | k, p = 1 (mod q) if q = 1 (mod 4), else p = the least nonresidue of q."""
+    wanted = {}
+    for q, _ in factorize_oracle(k):
+        if q % 4 == 1:
+            wanted[q] = 1
+        elif q % 4 == 3:
+            squares = {x * x % q for x in range(q)}
+            wanted[q] = next(r for r in range(2, q) if r not in squares)
+    p = minimum
+    while not (p % 8 == 7 and all(p % q == r for q, r in wanted.items())
+               and factorize_oracle(p) == ((p, 1),)):
+        p += 1
+    return p
+
 
 def test_divisors():
     assert divisors(16) == (1, 2, 4, 8, 16)
@@ -198,7 +236,6 @@ def test_factorize_is_the_prime_factorisation(n):
     for p, e in fs:
         prod *= p**e
     assert prod == abs(n)
-    assert odd_prime_factors(n) == tuple(p for p, _ in fs if p != 2)
 
 
 @given(st.integers(-20_000, 20_000).filter(bool))
