@@ -1,5 +1,5 @@
-"""Exact number theory: symbols, primality, CRT, and prime search in
-arithmetic progressions.
+"""Exact number theory: the integer input check, symbols, primality, CRT,
+and prime search in arithmetic progressions.
 
 Everything is deterministic.  Searches that are guaranteed to terminate by
 Dirichlet's theorem still take an explicit effort cap; hitting the cap
@@ -9,6 +9,7 @@ raises EffortLimitExceeded rather than silently truncating.
 from __future__ import annotations
 
 from math import gcd, isqrt
+from operator import index
 
 from .errors import EffortLimitExceeded, InternalCheckError, InvalidInputError
 
@@ -19,6 +20,19 @@ DETERMINISTIC_PRIMALITY_BOUND = 2**64
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 DEFAULT_EFFORT_LIMIT = 1_000_000
+
+
+def int_vector(v) -> tuple[int, ...]:
+    """v as a tuple of exact integers; anything else is InvalidInputError.
+
+    operator.index accepts int (and bool) only, so 2.5, Fraction(1, 2) and
+    "1" are rejected instead of being truncated or parsed.
+    """
+    try:
+        return tuple(map(index, v))
+    except TypeError:
+        raise InvalidInputError(
+            f"expected integer entries, got {list(v)!r}") from None
 
 
 def gcd_ext(a: int, b: int) -> tuple[int, int, int]:
@@ -42,7 +56,9 @@ def gcd_ext(a: int, b: int) -> tuple[int, int, int]:
 
 
 def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd positive n; the Legendre symbol when n is prime."""
+    """Jacobi symbol (a/n) for integers a and odd n > 0; the Legendre symbol
+    when n is prime."""
+    a, n = int_vector((a, n))
     if n <= 0 or n % 2 == 0:
         raise InvalidInputError(f"jacobi requires odd positive n, got {n}")
     a %= n
@@ -104,11 +120,11 @@ def crt(congruences) -> tuple[int, int]:
     """Combine (residue, modulus) pairs with pairwise coprime moduli into the
     single pair (r, m), 0 <= r < m, with m the product of the moduli.
 
-    Each modulus must be >= 1 and each residue in [0, modulus).  No pairs
-    give (0, 1).
+    Each modulus must be an integer >= 1 and each residue an integer in
+    [0, modulus).  No pairs give (0, 1).
     """
     r, m = 0, 1
-    for residue, modulus in congruences:
+    for residue, modulus in map(int_vector, congruences):
         if modulus < 1:
             raise InvalidInputError(f"modulus must be >= 1, got {modulus}")
         if not 0 <= residue < modulus:

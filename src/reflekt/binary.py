@@ -42,7 +42,8 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 from . import lattice as lattice_mod
-from .arith import divisors, factorize, is_nonresidue, smallest_nonresidue
+from .arith import (divisors, factorize, int_vector, is_nonresidue,
+                    smallest_nonresidue)
 from .errors import (EffortLimitExceeded, InternalCheckError,
                      InvalidInputError, IsotropicFormError)
 
@@ -66,6 +67,8 @@ class BinaryForm:
     c: int
 
     def __post_init__(self):
+        for name, x in zip("abc", int_vector((self.a, self.b, self.c))):
+            object.__setattr__(self, name, x)
         if self.disc <= 0:
             raise InvalidInputError(
                 f"form ({self.a},{self.b},{self.c}) has discriminant "
@@ -372,6 +375,7 @@ def _square_parts(n: int):
 
 def represents(f: BinaryForm, n: int) -> bool:
     """Complete decision: does f(x, y) = n have a nonzero integer solution?"""
+    (n,) = int_vector((n,))
     disc = f.disc
     if n == 0:
         return is_square(disc)
@@ -434,6 +438,7 @@ def representation_witness(f: BinaryForm, n: int):
     class and that class's witness.  In return the answer is checkable
     evidence, and the two routes agreeing is itself a useful invariant.
     """
+    (n,) = int_vector((n,))
     disc = f.disc
     if n == 0:
         if not is_square(disc):

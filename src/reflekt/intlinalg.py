@@ -1,7 +1,8 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Everything here runs on unbounded Python integers or fractions.Fraction;
-no floating point is used anywhere.  Matrices are immutable tuples of
+Everything here runs on unbounded Python integers, with Hermite forms as
+the one elimination; no floating point is used anywhere.  Fractions appear
+only as the answers of `solve_left`.  Matrices are immutable tuples of
 tuples of rows; helpers accept any nested sequence and normalize.
 """
 
@@ -11,25 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import index, mul
+from operator import mul
 
-from .arith import gcd_ext
+from .arith import gcd_ext, int_vector
 from .errors import InvalidInputError
 
 IntMatrix = tuple[tuple[int, ...], ...]
-
-
-def int_vector(v) -> tuple[int, ...]:
-    """v as a tuple of exact integers; anything else is InvalidInputError.
-
-    operator.index accepts int (and bool) only, so 2.5, Fraction(1, 2) and
-    "1" are rejected instead of being truncated or parsed.
-    """
-    try:
-        return tuple(map(index, v))
-    except TypeError:
-        raise InvalidInputError(
-            f"expected integer entries, got {list(v)!r}") from None
 
 
 def freeze(rows) -> IntMatrix:
@@ -287,41 +275,27 @@ def invariant_factors(mat) -> tuple[int, ...]:
 def solve_left(basis, targets):
     """Solve X * basis = targets over Q, or None if some row is outside the span.
 
-    basis rows must be linearly independent.  Returns a tuple of Fraction
-    rows, one per target row.
+    basis rows must be linearly independent; a target whose kernel shows
+    they are not raises ValueError.  Each target is read off the kernel of
+    [basis; t]^T: t lies in the Q-span iff a kernel row (y, s) has s != 0,
+    and then its coordinates are -y/s.  An empty basis spans only the zero
+    vector.  Returns a tuple of Fraction rows, one per target row.
     """
-    k = len(basis)
-    n = len(basis[0]) if k else 0
-    # Gaussian elimination on basis^T with all targets^T as right-hand sides
-    aug = [[Fraction(basis[i][r]) for i in range(k)] + [Fraction(t[r]) for t in targets]
-           for r in range(n)]
-    piv_cols = []
-    row = 0
-    for col in range(k):
-        sel = None
-        for i in range(row, n):
-            if aug[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
+    basis = freeze(basis)
+    out = []
+    for t in freeze(targets):
+        if basis and len(t) != len(basis[0]):
+            raise InvalidInputError(
+                f"target length {len(t)} does not match basis rows of "
+                f"length {len(basis[0])}")
+        kern = kernel(transpose(basis + (t,)))
+        if len(kern) > 1 or kern and not kern[0][-1]:
             raise ValueError("basis rows are linearly dependent")
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for i in range(n):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        piv_cols.append(col)
-        row += 1
-    # consistency: rows below the pivots must have zero right-hand side
-    for i in range(row, n):
-        if any(aug[i][k + j] != 0 for j in range(len(targets))):
+        if not kern:
             return None
-    sol = []
-    for j in range(len(targets)):
-        sol.append(tuple(aug[r][k + j] for r in range(k)))
-    return tuple(sol)
+        *y, s = kern[0]
+        out.append(tuple(Fraction(-x, s) for x in y))
+    return tuple(out)
 
 
 def congruence_signature(gram):

@@ -306,15 +306,16 @@ class Sublattice:
         return Lattice(self.gram_matrix())
 
     def contains(self, v) -> bool:
-        """Membership of an ambient vector in the Z-span of the basis."""
-        sol = intlinalg.solve_left(self.basis, (tuple(v),))
-        if sol is None:
-            return False
-        return all(x.denominator == 1 for x in sol[0])
+        """Membership of an ambient vector in the Z-span of the basis: its
+        coordinates exist and are integers."""
+        x = self.coordinates_of(v)
+        return x is not None and all(c.denominator == 1 for c in x)
 
     def coordinates_of(self, v):
-        """Rational coordinates of an ambient vector in this basis, or None."""
-        sol = intlinalg.solve_left(self.basis, (tuple(v),))
+        """Rational coordinates of an ambient vector in this basis, or None
+        outside its Q-span.  v must be an integer vector of ambient rank
+        length, else InvalidInputError."""
+        sol = intlinalg.solve_left(self.basis, (self.ambient._check_vector(v),))
         return None if sol is None else sol[0]
 
     def saturate(self) -> "Sublattice":
@@ -332,11 +333,8 @@ class Sublattice:
             raise SpanMismatchError("rational spans differ")
         if any(x.denominator != 1 for row in sol for x in row):
             raise SpanMismatchError("first sublattice is not contained in second")
-        x = tuple(tuple(int(v) for v in row) for row in sol)
-        d = intlinalg.det(x)
-        if d == 0:
-            raise SpanMismatchError("rational spans differ")
-        return abs(d)
+        # self's rows are independent, so their coordinates are invertible
+        return abs(intlinalg.det(tuple(tuple(int(v) for v in row) for row in sol)))
 
     def orthogonal_complement(self) -> "Sublattice":
         """Saturated basis of {v in ambient : (v, s) = 0 for all s in self}.

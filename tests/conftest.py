@@ -159,6 +159,31 @@ def _rational_rank(rows):
     return top
 
 
+def solve_left_oracle(basis, targets):
+    """X with X * basis = targets over Q, or None if some target row is
+    outside the span, by Gauss-Jordan elimination over Fraction on basis^T
+    with every target^T as a right-hand side.  basis rows must be linearly
+    independent and nonempty."""
+    k, n = len(basis), len(basis[0])
+    aug = [[Fraction(basis[i][r]) for i in range(k)] + [Fraction(t[r]) for t in targets]
+           for r in range(n)]
+    for col in range(k):
+        sel = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if sel is None:
+            raise ValueError("basis rows are linearly dependent")
+        aug[col], aug[sel] = aug[sel], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    # consistent iff the rows below the pivots have zero right-hand sides
+    if any(x != 0 for row in aug[k:] for x in row[k:]):
+        return None
+    return tuple(tuple(aug[r][k + j] for r in range(k)) for j in range(len(targets)))
+
+
 def _minor_det(rows):
     """Determinant by fraction-free (Bareiss) elimination, exact in integers."""
     a = [list(row) for row in rows]

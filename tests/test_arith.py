@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,11 @@ class TestJacobi:
             jacobi(3, 4)
         with pytest.raises(InvalidInputError):
             jacobi(3, -5)
+
+    @pytest.mark.parametrize("a, n", [(2, 7.0), (2.0, 7), (Fraction(2), 7), ("2", 7)])
+    def test_rejects_non_integers(self, a, n):
+        with pytest.raises(InvalidInputError, match="expected integer entries"):
+            jacobi(a, n)
 
     def test_matches_residue_oracle_for_all_small_primes(self):
         # exhaustive: (a/p) = 1 iff a is a nonzero square mod p
@@ -106,6 +112,15 @@ class TestPairValidation:
         with pytest.raises(InvalidInputError, match=text):
             crt(pairs)
         with pytest.raises(InvalidInputError, match=text):
+            find_prime(pairs)
+
+    @pytest.mark.parametrize("pairs", [
+        [(1, 3.0)], [(1.0, 3)], [(7, 8), (Fraction(1), 3)], [("1", 3)],
+    ])
+    def test_non_integer_pair(self, pairs):
+        with pytest.raises(InvalidInputError, match="expected integer entries"):
+            crt(pairs)
+        with pytest.raises(InvalidInputError, match="expected integer entries"):
             find_prime(pairs)
 
     def test_bad_minimum(self):

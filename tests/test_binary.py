@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
@@ -55,6 +56,21 @@ class TestBinaryForm:
         f = b.BinaryForm.from_d(7)
         assert (f.a, f.b, f.c) == (1, 0, -7)
         assert f.disc == 28
+
+    @pytest.mark.parametrize("make", [
+        lambda: b.BinaryForm(1.5, 0, -2),
+        lambda: b.BinaryForm(1, Fraction(0), -2),
+        lambda: b.BinaryForm("1", 0, -2),
+        lambda: b.BinaryForm.from_d(7.0),
+    ])
+    def test_rejects_non_integer_coefficients(self, make):
+        with pytest.raises(InvalidInputError, match="expected integer entries"):
+            make()
+
+    @pytest.mark.parametrize("query", [b.represents, b.representation_witness])
+    def test_queries_reject_a_non_integer_value(self, query):
+        with pytest.raises(InvalidInputError, match="expected integer entries"):
+            query(b.BinaryForm.from_d(7), 2.0)
 
     def test_gram_round_trip(self):
         f = b.BinaryForm(2, 4, -3)

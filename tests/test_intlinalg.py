@@ -1,13 +1,15 @@
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (U, _rational_rank, charpoly_signature,
-                      determinantal_divisor_oracle, dsum)
+                      determinantal_divisor_oracle, dsum, solve_left_oracle)
 from reflekt import construct, intlinalg as la, roots
+from reflekt.errors import InvalidInputError
 from reflekt.lattice import Lattice, Sublattice
 
 
@@ -115,6 +117,66 @@ def test_solve_left():
     sol = la.solve_left(((1, 0, 1), (0, 1, 1)), ((2, 3, 5),))
     assert sol == ((Fraction(2), Fraction(3)),)
     assert la.solve_left(((1, 0, 0),), ((0, 1, 0),)) is None
+    assert la.solve_left(((2, 0), (0, 3)), ((1, 1), (2, 0))) == (
+        (Fraction(1, 2), Fraction(1, 3)), (Fraction(1), Fraction(0)))
+    # an empty basis spans only the zero vector
+    assert la.solve_left((), ((1, 2),)) is None
+    assert la.solve_left((), ((0, 0),)) == ((),)
+
+
+@pytest.mark.parametrize("basis, targets", [
+    (((1, 2), (2, 4)), ((1, 2),)),  # target inside the span
+    (((1, 2), (2, 4)), ((1, 3),)),  # target outside the span
+])
+def test_solve_left_rejects_a_dependent_basis(basis, targets):
+    with pytest.raises(ValueError, match="linearly dependent"):
+        la.solve_left(basis, targets)
+
+
+@pytest.mark.parametrize("basis, targets", [
+    (((1.5, 0),), ((1, 0),)),
+    (((1, 0),), ((Fraction(1, 2), 0),)),
+    (((1, 0),), (("1", 0),)),
+    (((1, 0),), ((1, 0, 5),)),  # longer than the basis rows
+    (((1, 0),), ((1,),)),  # shorter than the basis rows
+])
+def test_solve_left_rejects_bad_input(basis, targets):
+    with pytest.raises(InvalidInputError):
+        la.solve_left(basis, targets)
+
+
+@st.composite
+def solve_cases(draw):
+    """k <= 3 independent rows in n <= 8 dimensions, and 1..3 targets: integer
+    vectors in the Q-span (divided by their content, so coordinates are often
+    fractions) or arbitrary integer vectors (mostly outside it when k < n)."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, min(3, n)))
+    row = st.lists(st.integers(-6, 6), min_size=n, max_size=n).map(tuple)
+    basis = tuple(draw(st.lists(row, min_size=k, max_size=k)))
+    assume(_rational_rank(basis) == k)
+    targets = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            c = draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+            t = [sum(ci * b[j] for ci, b in zip(c, basis)) for j in range(n)]
+            g = gcd(*t) or 1
+            targets.append(tuple(x // g for x in t))
+        else:
+            targets.append(draw(row))
+    return basis, tuple(targets)
+
+
+@given(solve_cases())
+@settings(max_examples=300, deadline=None)
+def test_solve_left_matches_gauss_jordan(case):
+    basis, targets = case
+    sol = la.solve_left(basis, targets)
+    assert sol == solve_left_oracle(basis, targets)
+    if sol is not None:
+        for x, t in zip(sol, targets):
+            assert tuple(sum(a * b[j] for a, b in zip(x, basis))
+                         for j in range(len(t))) == t
 
 
 def test_congruence_signature_basics():
@@ -269,3 +331,9 @@ def test_only_its_definition_names_smith_form():
     hits = [(p.name, line.strip()) for p in sorted(src.glob("*.py"))
             for line in p.read_text().splitlines() if "smith_normal_form" in line]
     assert hits == [("intlinalg.py", "def smith_normal_form(mat) -> SmithForm:")]
+
+
+def test_fractions_only_build_solve_left_answers():
+    hits = [line.strip() for line in Path(la.__file__).read_text().splitlines()
+            if "Fraction(" in line]
+    assert hits == ["out.append(tuple(Fraction(-x, s) for x in y))"]

@@ -228,6 +228,26 @@ class TestSublattice:
         with pytest.raises(SpanMismatchError):
             full.index_in(Sublattice(z2, ((2, 0), (0, 1))))  # not contained
 
+    @pytest.mark.parametrize("v", [
+        (1, 0, 5),  # longer than the ambient rank
+        (1,),  # shorter than the ambient rank
+        (1.5, 0),
+        ("1", 0),
+        (Fraction(1), 0),
+    ])
+    @pytest.mark.parametrize("query", ["contains", "coordinates_of"])
+    def test_queries_reject_bad_vectors(self, query, v):
+        sub = Sublattice(diag(1, 1), ((1, 0),))
+        with pytest.raises(InvalidInputError):
+            getattr(sub, query)(v)
+
+    def test_queries_examples(self):
+        sub = Sublattice(diag(1, 1), ((2, 0),))
+        assert sub.coordinates_of([1, 0]) == (Fraction(1, 2),)
+        assert sub.coordinates_of((0, 1)) is None
+        assert sub.contains((4, 0)) and sub.coordinates_of((4, 0)) == (2,)
+        assert not sub.contains((1, 0)) and not sub.contains((0, 1))
+
     def test_orthogonal_complement(self):
         u3 = dsum(U, U, U)
         h = (1, 1, 0, 0, 0, 0)
