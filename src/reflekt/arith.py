@@ -89,6 +89,7 @@ def is_prime(n: int) -> bool:
     Inputs at or above 2**64 are rejected: the witness set is only proven
     complete below that bound and this toolkit never needs larger primes.
     """
+    (n,) = int_vector((n,))
     if n < 1:
         raise InvalidInputError(f"is_prime requires n >= 1, got {n}")
     if n >= DETERMINISTIC_PRIMALITY_BOUND:
@@ -149,6 +150,7 @@ def find_prime(congruences, minimum: int = 2, exclude=frozenset(),
     (otherwise the progression contains at most one prime and Dirichlet
     does not apply).
     """
+    minimum, effort_limit = int_vector((minimum, effort_limit))
     if minimum < 1:
         raise InvalidInputError(f"minimum must be >= 1, got {minimum}")
     r, m = crt(congruences)
@@ -173,6 +175,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     (2, 3, 5, 7, ...).  A cofactor left over at that point is accepted as
     prime only below 2**64 and by is_prime; otherwise EffortLimitExceeded.
     """
+    (n,) = int_vector((n,))
     n = abs(n)
     if n == 0:
         raise InvalidInputError("zero has no prime factorisation")

@@ -127,6 +127,7 @@ class CFExpansion:
 def cf_sqrt(d: int) -> CFExpansion:
     """Canonical periodic continued fraction expansion of sqrt(d); a period
     longer than _CYCLE_CAP terms raises EffortLimitExceeded."""
+    (d,) = int_vector((d,))
     if d <= 0 or is_square(d):
         raise InvalidInputError(f"d must be a positive non-square, got {d}")
     a0 = isqrt(d)

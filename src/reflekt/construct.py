@@ -13,7 +13,10 @@ Three builders live here:
   [-d*N, -1].
 
 Each certificate re-validates from scratch; `verify` in the CLI runs the
-same checks on saved JSON.
+same checks on saved JSON.  The mj arithmetic is in integers, every pairing
+through `Lattice.evaluate`/`norm`: every denominator divides m, so m f~ and
+m u_a are integer vectors, and Fractions are made only for the certificate's
+f~ and u.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from itertools import product
 from math import gcd, lcm, prod
 
 from . import binary, intlinalg
-from .arith import (DEFAULT_EFFORT_LIMIT, DETERMINISTIC_PRIMALITY_BOUND,
-                    gcd_ext, is_nonresidue, is_prime, jacobi, nonresidue_prime)
+from .arith import (DEFAULT_EFFORT_LIMIT, DETERMINISTIC_PRIMALITY_BOUND, gcd_ext,
+                    int_vector, is_nonresidue, is_prime, jacobi, nonresidue_prime)
 from .errors import (ConstructionError, DependentBasisError, InternalCheckError,
                      InvalidInputError, SpanMismatchError)
 from .lattice import Lattice, Sublattice
@@ -92,6 +95,7 @@ def avoid_roots(n: int, b: int,
                 effort_limit: int = DEFAULT_EFFORT_LIMIT) -> AvoidRootsCertificate:
     """Smallest-prime certificate that x^2 - ab y^2 represents none of 0..-n;
     its primes are distinct, greater than b, and chosen greedily for k = 1..n."""
+    n, b, effort_limit = int_vector((n, b, effort_limit))
     if n < 1 or b < 1:
         raise InvalidInputError("avoid_roots needs n >= 1 and b >= 1")
     if effort_limit < 1:
@@ -198,6 +202,7 @@ def validate_pell_family(cert: PellFamilyCertificate) -> list[str]:
 
 def select_pell_a(n: int) -> int:
     """Smallest a >= 2 with a > 1 + n/2, so that 2 - 2a < -n."""
+    (n,) = int_vector((n,))
     if n < 1:
         raise InvalidInputError(f"select_pell_a needs n >= 1, got {n}")
     return max(2, n // 2 + 2)
@@ -252,14 +257,6 @@ def _h_complement(ambient: Lattice, h):
     return h, d, comp, abs(intlinalg.det(comp.basis + (h,)))
 
 
-def _pair_frac(gram, u, v):
-    total = Fraction(0)
-    for i, row in enumerate(gram):
-        if u[i]:
-            total += u[i] * sum(row[j] * v[j] for j in range(len(v)))
-    return total
-
-
 def _find_isotropic(comp: Sublattice, search_box: int):
     """Smallest-box primitive isotropic vector of the restriction.
 
@@ -277,9 +274,9 @@ def _find_isotropic(comp: Sublattice, search_box: int):
         "raise the search box")
 
 
-def _isotropic_partner(gram, comp: Sublattice, e, m: int):
-    """Isotropic f~ with (e~, f~) = 1 in the overlattice spanned by the
-    complement and e~ = e/m, as a Fraction ambient vector.
+def _isotropic_partner(comp: Sublattice, e, m: int):
+    """The integer vector f = m f~, for the isotropic f~ with (e~, f~) = 1 in
+    the overlattice spanned by the complement and e~ = e/m.
 
     The search runs in the overlattice's integer coordinates: the rows of
     span / m form its basis, so its Gram matrix is span G span^T / m^2.  An
@@ -289,21 +286,20 @@ def _isotropic_partner(gram, comp: Sublattice, e, m: int):
     odd norm exists iff some basis row of that kernel has odd norm, and
     then a sum of rows with coefficients in {-1, 0, 1} has it.  If none
     does, every x with (e~, x) = 1 has odd norm and no partner exists.
+    In ambient coordinates f = span^T x - (q(x)/2) e, and the two defining
+    properties read q(f) = 0 and (e, f) = m^2.
     """
+    ambient = comp.ambient
     span = intlinalg.hermite_row_basis(
         tuple(tuple(m * x for x in row) for row in comp.basis) + (tuple(e),))
-    sg = intlinalg.mat_mul(span, gram)
+    sg = intlinalg.mat_mul(span, ambient.gram)
     over = intlinalg.mat_mul(sg, intlinalg.transpose(span))
     pairings = intlinalg.mat_vec(sg, e)
     mm = m * m
     if any(x % mm for x in pairings) or any(x % mm for row in over for x in row):
         raise InternalCheckError("overlattice is not integral")
-    over = tuple(tuple(x // mm for x in row) for row in over)
+    norm = Lattice(tuple(tuple(x // mm for x in row) for row in over)).norm
     pairings = tuple(x // mm for x in pairings)
-
-    def norm(c):
-        return sum(a * b for a, b in zip(c, intlinalg.mat_vec(over, c)))
-
     g, x = 0, [0] * len(pairings)
     for i, p in enumerate(pairings):
         g, s, t = gcd_ext(g, p)
@@ -321,13 +317,13 @@ def _isotropic_partner(gram, comp: Sublattice, e, m: int):
                 "no isotropic partner: no vector orthogonal to e~ has odd norm")
         x = [a + b for a, b in zip(x, w)]
     half = norm(x) // 2
-    f_tilde = tuple(Fraction(a - half * b, m) for a, b in
-                    zip(intlinalg.mat_vec(intlinalg.transpose(span), x), e))
-    if _pair_frac(gram, f_tilde, f_tilde) != 0:
+    f = tuple(a - half * b for a, b in
+              zip(intlinalg.mat_vec(intlinalg.transpose(span), x), e))
+    if ambient.norm(f) != 0:
         raise InternalCheckError("partner vector is not isotropic")
-    if _pair_frac(gram, e, f_tilde) != m:
+    if ambient.evaluate(e, f) != mm:
         raise InternalCheckError("partner vector does not pair to 1 with e~")
-    return f_tilde
+    return f
 
 
 def mj_family(ambient: Lattice, h, big_n: int, count: int,
@@ -344,6 +340,8 @@ def mj_family(ambient: Lattice, h, big_n: int, count: int,
     is accepted only after every final check passes directly on the
     saturated sublattice spanned by v (the primitive generator below u_a) and h.
     """
+    big_n, count, search_box, effort_limit = int_vector(
+        (big_n, count, search_box, effort_limit))
     if big_n < 1 or count < 1:
         raise InvalidInputError("mj_family needs N >= 1 and count >= 1")
     if search_box < 1 or effort_limit < 1:
@@ -361,8 +359,7 @@ def mj_family(ambient: Lattice, h, big_n: int, count: int,
     # its divisibility in the complement: the gcd of its pairings with the
     # complement's basis
     m = gcd(*intlinalg.mat_vec(intlinalg.mat_mul(comp.basis, ambient.gram), e))
-    e_tilde = tuple(Fraction(x, m) for x in e)
-    f_tilde = _isotropic_partner(ambient.gram, comp, e, m)
+    f = _isotropic_partner(comp, e, m)
 
     entries = []
     a = None
@@ -379,8 +376,7 @@ def mj_family(ambient: Lattice, h, big_n: int, count: int,
         else:
             a = prod(p for _, p in _nonresidue_primes(threshold, 2, used,
                                                         effort_limit))
-        result = _build_entry(ambient, h, d, e_tilde, f_tilde, a,
-                              big_n, t_index)
+        result = _build_entry(ambient, h, d, e, f, m, a, big_n, t_index)
         if result is None:
             continue
         entry, norm_v = result
@@ -391,18 +387,26 @@ def mj_family(ambient: Lattice, h, big_n: int, count: int,
 
     return _validated(validate_mj, MjCertificate(
         ambient=ambient, h=h, d=d, big_n=big_n, strategy=strategy,
-        threshold=threshold, e=e, m=m, f_tilde=f_tilde,
+        threshold=threshold, e=e, m=m, f_tilde=tuple(Fraction(x, m) for x in f),
         t_index=t_index, entries=tuple(entries)))
 
 
-def _build_entry(ambient, h, d, e_tilde, f_tilde, a, big_n, t_index):
-    """Assemble one candidate entry, or None if a direct check rejects it."""
-    u = tuple(et - d * a * ft for et, ft in zip(e_tilde, f_tilde))
-    qu = _pair_frac(ambient.gram, u, u)
-    if qu != -2 * d * a:
-        raise InternalCheckError(f"q(u_a) = {qu}, expected {-2 * d * a}")
-    m_factor = lcm(*(x.denominator for x in u))
-    v = tuple(int(x * m_factor) for x in u)
+def _build_entry(ambient, h, d, e, f, m, a, big_n, t_index):
+    """(entry, q(v)) for the candidate a, or None if a direct check rejects
+    it.
+
+    The work is on the integer vector w = e - d a f = m u_a, of norm
+    -2 d a m^2.  With g = gcd(m, w_1, .., w_r), the least k >= 1 with k u_a
+    = k w / m integral is m / g: m divides every k w_i iff m divides k times
+    the content c of w, iff m / gcd(m, c) divides k.  So m_factor = m / g,
+    v = w / g, and u_a = w / m is made a Fraction only for the entry kept.
+    """
+    w = tuple(x - d * a * y for x, y in zip(e, f))
+    qw = ambient.norm(w)
+    if qw != -2 * d * a * m * m:
+        raise InternalCheckError(f"q(m u_a) = {qw}, expected {-2 * d * a * m * m}")
+    g = gcd(m, *w)
+    v = tuple(x // g for x in w)
     if gcd(*v) != 1:
         raise InternalCheckError(f"v = {v} is imprimitive")
     if ambient.evaluate(v, h) != 0:
@@ -421,13 +425,18 @@ def _build_entry(ambient, h, d, e_tilde, f_tilde, a, big_n, t_index):
         raise InternalCheckError(
             f"index {index} of the span inside its saturation does not divide "
             f"T = {t_index}")
-    entry = MjEntry(a=a, u=u, m_factor=m_factor, v=v, basis=mj.basis,
-                    gram=gram, mu=mu_val, index=index)
-    return entry, ambient.norm(v)
+    entry = MjEntry(a=a, u=tuple(Fraction(x, m) for x in w), m_factor=m // g,
+                    v=v, basis=mj.basis, gram=gram, mu=mu_val, index=index)
+    return entry, qw // (g * g)
 
 
 def validate_mj(cert: MjCertificate) -> list[str]:
-    """Re-run all certificate invariants from scratch."""
+    """Re-run all certificate invariants from scratch.
+
+    The stored rationals are checked in integers too: with k the lcm of
+    f~'s denominators, (e~, f~) = 1 and q(f~) = 0 are (e, k f~) = m k and
+    q(k f~) = 0.
+    """
     out = []
     try:
         _, d, comp, t = _h_complement(cert.ambient, cert.h)
@@ -456,10 +465,11 @@ def validate_mj(cert: MjCertificate) -> list[str]:
                 intlinalg.mat_mul(comp.basis, cert.ambient.gram), cert.e))
             if m != cert.m:
                 out.append(f"stored m = {cert.m}, recomputed {m}")
-    e_tilde = tuple(Fraction(x, cert.m) for x in cert.e)
-    if _pair_frac(cert.ambient.gram, e_tilde, cert.f_tilde) != 1:
+    k = lcm(*(x.denominator for x in cert.f_tilde))
+    kf = tuple(int(x * k) for x in cert.f_tilde)
+    if cert.ambient.evaluate(cert.e, kf) != cert.m * k:
         out.append("(e~, f~) != 1")
-    if _pair_frac(cert.ambient.gram, cert.f_tilde, cert.f_tilde) != 0:
+    if cert.ambient.norm(kf) != 0:
         out.append("f~ is not isotropic")
     if t != cert.t_index:
         out.append(f"stored T = {cert.t_index}, recomputed {t}")
@@ -475,12 +485,12 @@ def validate_mj(cert: MjCertificate) -> list[str]:
         if entry.m_factor < 1:
             out.append(f"{tag}: m_factor = {entry.m_factor} is not positive")
             continue
-        expect_u = tuple(et - cert.d * entry.a * ft
-                         for et, ft in zip(e_tilde, cert.f_tilde))
+        expect_u = tuple(Fraction(x, cert.m) - cert.d * entry.a * ft
+                         for x, ft in zip(cert.e, cert.f_tilde))
         if tuple(entry.u) != expect_u:
             out.append(f"{tag}: u does not equal e~ - d*a*f~")
         v = entry.v
-        if tuple(Fraction(x) for x in v) != tuple(entry.m_factor * x for x in entry.u):
+        if tuple(v) != tuple(entry.m_factor * x for x in entry.u):
             out.append(f"{tag}: v != m_factor * u")
         if cert.m % entry.m_factor != 0:
             out.append(f"{tag}: m_factor does not divide m")
@@ -558,6 +568,7 @@ def nv_complements(lat: Lattice, d: int, box: int) -> tuple[NvComplementEntry, .
     orthogonal group.  If (2*box+1)**(rank-1) exceeds DEFAULT_EFFORT_LIMIT,
     EffortLimitExceeded is raised before anything is enumerated.
     """
+    (d,) = int_vector((d,))
     if d <= 0:
         raise InvalidInputError(f"d must be positive, got {d}")
     lat.check_prefix_budget(box)
@@ -600,6 +611,7 @@ def validate_nv(lat: Lattice, d: int, box: int,
 
 def rescaling_family(lat: Lattice, n: int) -> tuple[Lattice, ...]:
     """[L(1), ..., L(n)]."""
+    (n,) = int_vector((n,))
     if n < 1:
         raise InvalidInputError(f"family size must be >= 1, got {n}")
     return tuple(lat.rescale(k) for k in range(1, n + 1))

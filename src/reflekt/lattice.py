@@ -128,10 +128,11 @@ class Lattice:
     # -- bounded enumeration -------------------------------------------------
 
     def check_prefix_budget(self, box: int) -> None:
-        """Refuse box < 1 with InvalidInputError, and a box whose
-        (2*box+1)**(rank-1) enumeration prefixes (a walk prefix and the x of
-        its tail) exceed DEFAULT_EFFORT_LIMIT with EffortLimitExceeded,
-        before any walk."""
+        """Refuse a box that is not an integer >= 1 with InvalidInputError,
+        and a box whose (2*box+1)**(rank-1) enumeration prefixes (a walk
+        prefix and the x of its tail) exceed DEFAULT_EFFORT_LIMIT with
+        EffortLimitExceeded, before any walk."""
+        (box,) = intlinalg.int_vector((box,))
         if box < 1:
             raise InvalidInputError("box must be >= 1")
         if (2 * box + 1) ** (self.rank - 1) > DEFAULT_EFFORT_LIMIT:
@@ -203,6 +204,7 @@ class Lattice:
         EffortLimitExceeded beyond DEFAULT_EFFORT_LIMIT.
         """
         self.check_prefix_budget(box)
+        (n,) = intlinalg.int_vector((n,))
         g = self.gram
         if self.rank == 1:
             return ((1,),) if g[0][0] == n else ()

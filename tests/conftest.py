@@ -8,7 +8,7 @@ the oracle is the ground truth.
 
 import itertools
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -316,6 +316,26 @@ def isotropic_partner_oracle(gram, comp, e, m, box=2):
         x = tuple(a + b for a, b in zip(x, shift))
     half = int(pair(x, x)) // 2
     return tuple(a - half * b for a, b in zip(x, e_tilde))
+
+
+def pair_frac_oracle(gram, u, v):
+    """The pairing (u, v) of vectors with Fraction entries, summed in
+    Fractions: construct's pairing before it paired only integer vectors."""
+    total = Fraction(0)
+    for i, row in enumerate(gram):
+        if u[i]:
+            total += u[i] * sum(row[j] * v[j] for j in range(len(v)))
+    return total
+
+
+def mj_entry_oracle(gram, e, m, f_tilde, d, a):
+    """(u, m_factor, v, q(u)) of the mj entry for a, by the Fraction
+    arithmetic of construct's build before it worked on m u: u = e~ - d a f~
+    with e~ = e/m, m_factor the lcm of u's denominators, v = m_factor u."""
+    u = tuple(Fraction(x, m) - d * a * ft for x, ft in zip(e, f_tilde))
+    m_factor = lcm(*(x.denominator for x in u))
+    v = tuple(int(x * m_factor) for x in u)
+    return u, m_factor, v, pair_frac_oracle(gram, u, u)
 
 
 # -- slow oracles for the binary-form fast paths ------------------------------

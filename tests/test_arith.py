@@ -321,6 +321,20 @@ class TestFactorizeBudget:
             factorize(2 * (2**89 - 1))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: factorize(12.0),
+    lambda: divisors(12.0),
+    lambda: nonresidue_prime(7.0),
+    lambda: is_prime(7.0),
+    lambda: find_prime([(7, 8)], minimum=2.5),
+    lambda: find_prime([(7, 8)], effort_limit=100.0),
+], ids=["factorize", "divisors", "nonresidue_prime", "is_prime",
+        "find_prime_minimum", "find_prime_effort_limit"])
+def test_scalars_reject_non_integers(call):
+    with pytest.raises(InvalidInputError, match="expected integer entries"):
+        call()
+
+
 def test_smallest_nonresidue():
     assert smallest_nonresidue(3) == 2
     assert smallest_nonresidue(7) == 3

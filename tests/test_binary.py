@@ -127,6 +127,11 @@ class TestPell:
         assert (b.pell_fundamental(8).x, b.pell_fundamental(8).y) == (3, 1)
         assert (b.pell_fundamental(2).x, b.pell_fundamental(2).y) == (3, 2)
 
+    @pytest.mark.parametrize("call", [b.cf_sqrt, b.pell_fundamental])
+    def test_rejects_a_non_integer_d(self, call):
+        with pytest.raises(InvalidInputError, match="expected integer entries"):
+            call(7.0)
+
     def test_minimality_all_d_to_200(self):
         # exhaustive scan below the found y where feasible; for the handful
         # of d with huge fundamental solutions the identity check plus a

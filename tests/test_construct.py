@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import itertools
 import json
@@ -5,10 +6,12 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 
-from conftest import U, brute_values, diag, dsum, isotropic_partner_oracle
+from conftest import (U, brute_values, diag, dsum, isotropic_partner_oracle,
+                      mj_entry_oracle, pair_frac_oracle)
 from reflekt import binary, serialize
 from reflekt import construct as c
 from reflekt.arith import DEFAULT_EFFORT_LIMIT, is_prime, jacobi
@@ -270,6 +273,11 @@ def _partner_cases():
     return cases + [("odd6_m2", (1, -1, -1, 0, 0, -1))]
 
 
+def _library_partner(gram, comp, e, m):
+    """f~ = f / m from construct's integer partner f = m f~."""
+    return tuple(Fraction(x, m) for x in c._isotropic_partner(comp, e, m))
+
+
 def _partner_outcome(find, name, h):
     """find's f~ for the isotropic e that mj_family picks, or its error type."""
     lat = PARTNER_AMBIENTS[name]
@@ -285,11 +293,11 @@ def _partner_outcome(find, name, h):
 class TestIsotropicPartner:
     """The integer-coordinate search against the Fraction box search it
     replaced (box <= 2): by the parity argument a partner exists iff box 1
-    finds one, so both give the same f~ or both raise the same error."""
+    finds one, so f / m equals the oracle's f~ or both raise the same error."""
 
     @pytest.mark.parametrize("name,h", _partner_cases())
     def test_matches_box_search(self, name, h):
-        got = _partner_outcome(c._isotropic_partner, name, h)
+        got = _partner_outcome(_library_partner, name, h)
         assert got == _partner_outcome(isotropic_partner_oracle, name, h)
 
     def test_every_path_is_covered(self, monkeypatch):
@@ -303,9 +311,103 @@ class TestIsotropicPartner:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(c, "product", product)
-        outcomes = [_partner_outcome(c._isotropic_partner, *case)
+        outcomes = [_partner_outcome(_library_partner, *case)
                     for case in _partner_cases()]
         assert 0 < outcomes.count(ConstructionError) < len(shifts) < len(outcomes)
+
+
+ENTRY_CASES = [
+    # (ambient, h, m, the m_factors that a = 2..40 give)
+    (PARTNER_AMBIENTS["A3_x2"], (0, 0, 0, 1, 1, 1), 4, {4}),
+    (PARTNER_AMBIENTS["A3"], (0, 0, 0, 1, 1, 1), 2, {2}),
+    (PARTNER_AMBIENTS["odd6_m222"], (0, 1, 1, 0, 0, 0), 2, {2}),
+    (PARTNER_AMBIENTS["odd6_m222"], (0, 1, 2, 0, 0, 1), 2, {1, 2}),
+    (U3, H, 1, {1}),
+    (dsum(U3, diag(-2, -2)), H + (0, 0), 1, {1}),
+]
+
+
+class TestIntegerBuild:
+    """_build_entry works on w = m u_a; the Fraction arithmetic it replaced
+    (mj_entry_oracle) must give the same u, m_factor and v, and q(u_a) =
+    q(v) / m_factor^2, for every entry it accepts."""
+
+    @pytest.mark.parametrize("ambient,h,m,factors", ENTRY_CASES)
+    def test_entries_match_the_fraction_oracle(self, ambient, h, m, factors):
+        h, d, comp, t = c._h_complement(ambient, h)
+        e = c._find_isotropic(comp, c.DEFAULT_SEARCH_BOX)
+        assert comp.as_lattice().divisibility(_coordinates_in(comp, e)) == m
+        f = c._isotropic_partner(comp, e, m)
+        f_tilde = tuple(Fraction(x, m) for x in f)
+        seen = []
+        for a in range(2, 41):
+            result = c._build_entry(ambient, h, d, e, f, m, a, 1, t)
+            if result is None:
+                continue
+            entry, qv = result
+            u, m_factor, v, qu = mj_entry_oracle(ambient.gram, e, m, f_tilde, d, a)
+            assert (entry.u, entry.m_factor, entry.v) == (u, m_factor, v), a
+            assert Fraction(qv, m_factor ** 2) == qu == -2 * d * a
+            seen.append(m_factor)
+        assert len(seen) >= 25 and set(seen) == factors
+
+
+def _f_tilde_failures(cert):
+    """validate_mj's lines for a certificate whose f~ alone was tampered
+    with, by the Fraction pairing it used before its integer checks."""
+    gram = cert.ambient.gram
+    e_tilde = tuple(Fraction(x, cert.m) for x in cert.e)
+    out = []
+    if pair_frac_oracle(gram, e_tilde, cert.f_tilde) != 1:
+        out.append("(e~, f~) != 1")
+    if pair_frac_oracle(gram, cert.f_tilde, cert.f_tilde) != 0:
+        out.append("f~ is not isotropic")
+    for i, entry in enumerate(cert.entries):
+        u = mj_entry_oracle(gram, cert.e, cert.m, cert.f_tilde, cert.d, entry.a)[0]
+        if u != entry.u:
+            out.append(f"entry {i}: u does not equal e~ - d*a*f~")
+    return out
+
+
+class TestTamperedFTilde:
+    """validate_mj reads f~ through k f~, k the lcm of its denominators;
+    the lines stay those of the Fraction pairing, also for denominators
+    that do not divide m."""
+
+    @pytest.mark.parametrize("ambient,h", [
+        (U3, H),                                              # m = 1
+        (PARTNER_AMBIENTS["A3_x2"], (0, 0, 0, 1, 1, 1)),      # m = 4
+    ])
+    def test_lines_match_the_fraction_pairing(self, ambient, h):
+        cert = c.mj_family(ambient, h, 1, 2)
+        f = cert.f_tilde
+        variants = [tuple(x / k for x in f) for k in (2, 3, 4)]
+        for i in range(len(f)):
+            for x in (Fraction(1, 3), Fraction(-2, 7), Fraction(1, 1000000007)):
+                variants.append(f[:i] + (x,) + f[i + 1:])
+        seen = set()
+        for bad_f in variants:
+            assert any(x.denominator > 1 and cert.m % x.denominator for x in bad_f)
+            bad = replace(cert, f_tilde=bad_f)
+            got = c.validate_mj(bad)
+            assert got == _f_tilde_failures(bad), bad_f
+            seen.update(line for line in got if not line.startswith("entry"))
+        assert seen == {"(e~, f~) != 1", "f~ is not isotropic"}
+
+
+def test_fractions_only_build_the_stored_rationals():
+    # every pairing goes through Lattice.evaluate/norm, and a Fraction is
+    # made only for the certificate's f~ and u and validate_mj's u check
+    source = Path(c.__file__).read_text()
+    hits = [line.strip() for line in source.splitlines() if "Fraction(" in line]
+    assert hits == [
+        "threshold=threshold, e=e, m=m, f_tilde=tuple(Fraction(x, m) for x in f),",
+        "entry = MjEntry(a=a, u=tuple(Fraction(x, m) for x in w), m_factor=m // g,",
+        "expect_u = tuple(Fraction(x, cert.m) - cert.d * entry.a * ft",
+    ]
+    names = [node.name for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.FunctionDef)]
+    assert not [n for n in names if "pair" in n or "norm" in n]
 
 
 def _coordinates_in(comp, e):
@@ -453,6 +555,26 @@ class TestNvComplements:
         for lat, box in ((U, 500_000), (dsum(U, diag(-2)), 500)):
             with pytest.raises(EffortLimitExceeded):
                 c.nv_complements(lat, 2, box)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: c.mj_family(U3, H, 2.0, 1),
+    lambda: c.mj_family(U3, H, 1, 1.0),
+    lambda: c.mj_family(U3, H, 1, 1, search_box=2.0),
+    lambda: c.mj_family(U3, H, 1, 1, effort_limit=1e6),
+    lambda: c.select_pell_a(3.0),
+    lambda: c.avoid_roots(2.0, 1),
+    lambda: c.avoid_roots(2, 1.0),
+    lambda: c.avoid_roots(2, 1, 1e6),
+    lambda: c.nv_complements(U, 2.0, 2),
+    lambda: c.nv_complements(U, 2, 2.0),
+    lambda: c.rescaling_family(U, 2.0),
+], ids=["mj_N", "mj_count", "mj_search_box", "mj_effort_limit", "select_pell_a",
+        "avoid_roots_n", "avoid_roots_b", "avoid_roots_effort_limit", "nv_d",
+        "nv_box", "rescaling_n"])
+def test_scalars_reject_non_integers(call):
+    with pytest.raises(InvalidInputError, match="expected integer entries"):
+        call()
 
 
 class TestRescalingFamily:

@@ -317,6 +317,20 @@ class TestEnumerateNormVectors:
         assert diag(1, -8).enumerate_norm_vectors(-4, 3) == ((2, -1), (2, 1))
         assert diag(1, -8).enumerate_norm_vectors(-3, 10) == ()
 
+    @pytest.mark.parametrize("call", [
+        lambda lat: lat.enumerate_norm_vectors(-8.0, 2),
+        lambda lat: lat.check_prefix_budget(2.0),
+        # the budget gate covers every walk behind it
+        lambda lat: lat.enumerate_norm_vectors(-2, 2.0),
+        lambda lat: lat.box_vectors(2.0),
+        lambda lat: roots.find_roots_in_box(lat, 2.0),
+        lambda lat: roots.reflectivity_indicator(lat, 2.0),
+    ], ids=["norm", "budget", "walk_box", "box_vectors", "roots_box",
+            "reflectivity_budget"])
+    def test_non_integer_scalars_are_rejected(self, call):
+        with pytest.raises(InvalidInputError, match="expected integer entries"):
+            call(dsum(U, U, diag(-2)))
+
     def naive(self, lat, n, box):
         out = set()
         for x in range(-box, box + 1):
