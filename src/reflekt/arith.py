@@ -78,8 +78,12 @@ def jacobi(a: int, n: int) -> int:
 def is_nonresidue(a: int, p: int) -> bool:
     """True iff a is a quadratic nonresidue mod the prime p (Euler's criterion).
 
-    Every residue is a square mod 2, and so is a = 0 mod p.
+    Every residue is a square mod 2, and so is a = 0 mod p.  a and p must
+    be integers with p >= 2.
     """
+    a, p = int_vector((a, p))
+    if p < 2:
+        raise InvalidInputError(f"is_nonresidue requires a prime p >= 2, got {p}")
     return p != 2 and pow(a, (p - 1) // 2, p) == p - 1
 
 
@@ -220,10 +224,18 @@ def divisors(n: int) -> tuple[int, ...]:
 
 
 def smallest_nonresidue(q: int) -> int:
-    """Least r >= 2 with (r/q) = -1, for an odd prime q."""
+    """Least r >= 2 with (r/q) = -1, for an odd prime q.
+
+    Such an r < q exists for every odd q > 1 that is not a square; for a
+    square q every symbol is 0 or 1, so the search stops at q with
+    InvalidInputError, as jacobi does for an even or non-positive q.
+    """
     r = 2
     while jacobi(r, q) != -1:
         r += 1
+        if r >= q:
+            raise InvalidInputError(
+                f"{q} is a square, so no r has (r/{q}) = -1")
     return r
 
 

@@ -18,13 +18,17 @@ set of leading coefficients, and the t of every rho step, whose matrix is
 multiplies the stored steps from f's reduced form to its class's instead
 of walking the cycle again.  mu is the largest negative leading coefficient
 of the cycle (the proof is in `mu`).  It reads the leads of a cached record
-when there is one, and otherwise streams the cycle in O(1) memory and stops
-at a lead of -1; it never builds a record.
+when there is one, and otherwise streams the cycle in O(1) memory; it
+stops at a lead of -1, and on the mirror-symmetric cycle of an ambiguous
+class after half of it.  It never builds a record, and it keeps its last
+64 answers, so a certificate validated after it is built walks once.
 
 The square roots come from the factorisation of 4|m|: Tonelli-Shanks
 modulo each odd prime, a Hensel lift to each prime power, and CRT.  That
-costs trial division up to sqrt(4|m|) plus work in proportion to the
-number of roots, where a scan of all residues would cost |m|.
+costs trial division up to sqrt(4|m|), one root computation and lift per
+prime power (a least nonresidue is found only when Tonelli-Shanks has to
+loop, never for p = 3 mod 4), and CRT work in proportion to the number of
+roots, where a scan of all residues would cost |m|.
 `binary_roots` needs none of them: only the classes with b = 0 mod |m|
 hold roots (the lemma is in its docstring), b = 0 and b = |m|, one
 congruence test each.
@@ -260,12 +264,45 @@ def _walk(start, disc, sq):
         f"cycle through {start} is longer than {_CYCLE_CAP} forms")
 
 
+def _mu_walk(start, disc, sq):
+    """The largest negative leading coefficient of the cycle through the
+    reduced form start, by `_walk`'s step inlined, in O(1) memory.  It
+    stops at a c of -1, at its second edge centre, counting the step into
+    the start as one when rho(c0, b0, a0) is the start, and otherwise at
+    the start again (the proof is in `mu`).  A walk longer than
+    _CYCLE_CAP forms raises `_walk`'s EffortLimitExceeded."""
+    a0, b0, c0 = start
+    # rho(c0, b0, a0) = start iff the step into the start is a centre
+    past_centre = sq - (sq + b0) % (2 * abs(a0)) == b0
+    # a reduced form has ac < 0, and c leads the next form of the cycle
+    best, b, c = min(a0, c0), b0, c0
+    for _ in range(_CYCLE_CAP):
+        if best < c < 0:
+            best = c
+        if best == -1:
+            return best
+        r = sq - (sq + b) % (2 * abs(c))
+        if r == b:
+            if past_centre:
+                return best
+            past_centre = True
+        if c == a0 and r == b0:
+            return best
+        b, c = r, (r * r - disc) // (4 * c)
+    raise EffortLimitExceeded(
+        f"cycle through {start} is longer than {_CYCLE_CAP} forms")
+
+
 # The cycle records of `_cycle`, keyed by start form, oldest use first.
 # Sized for repeated queries on a few forms at a time: every entry can hold
 # a long cycle, so a larger cache mostly costs memory.  `mu` reads a record
 # here when one exists, but never adds or reorders one.
 _RECORD_SLOTS = 64
 _records = {}
+# The values of `mu` by reduced start form, oldest first, as many as there
+# are record slots: a certificate validated right after it is built asks
+# for the mu of the same form twice, and the second call walks nothing.
+_mu_values = {}
 
 
 def _cycle(start):
@@ -312,7 +349,10 @@ def _sqrt_mod_prime(a, p):
     while q % 2 == 0:
         q //= 2
         s += 1
-    c, t, r = pow(smallest_nonresidue(p), q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
+    if t != 1:
+        # r^2 = a t, so r is a root when t = 1; else a nonresidue is needed
+        c = pow(smallest_nonresidue(p), q, p)
     while t != 1:
         i, t2 = 0, t
         while t2 != 1:
@@ -350,8 +390,9 @@ def _sqrt_mod_prime_power(disc, p, e):
 def _sqrt_classes_mod(disc, m):
     """All b in [0, 2|m|) with b^2 = disc (mod 4|m|), in increasing order.
 
-    The roots modulo each prime power q of 4|m| are combined by CRT, through
-    the residue that is 1 mod q and 0 mod 4|m|/q.
+    The roots modulo each prime power q of 4|m| are computed once, by
+    `_sqrt_mod_prime_power`, and combined with every root found so far by
+    CRT, through the residue that is 1 mod q and 0 mod 4|m|/q.
     """
     mod = 4 * abs(m)
     roots = [0]
@@ -359,8 +400,8 @@ def _sqrt_classes_mod(disc, m):
         q = p**e
         rest = mod // q
         unit = rest * pow(rest, -1, q) % mod
-        roots = [(x + r * unit) % mod
-                 for x in roots for r in _sqrt_mod_prime_power(disc, p, e)]
+        rs = _sqrt_mod_prime_power(disc, p, e)
+        roots = [(x + r * unit) % mod for x in roots for r in rs]
     return sorted(b for b in roots if b < 2 * abs(m))
 
 
@@ -503,12 +544,49 @@ def mu(f: BinaryForm) -> int:
        the leads of the cycle alone decide it: no square root,
        factorisation or class search is needed.
 
-    mu reduces f once.  If a query that needs positions or steps
-    (`represents`, `representation_witness`, `binary_roots`) has left a
-    record of that cycle, mu reads its leads.  Otherwise it walks the cycle
-    keeping only the running maximum of the negative leads, in O(1) memory,
-    and stops at a lead of -1, since no negative value is larger.  It never
-    builds a record.
+    Half the cycle holds every lead when the class is ambiguous.  Let
+    sigma(a, b, c) = (c, b, a), and call the step from g_i to g_(i+1) an
+    edge centre when g_(i+1) = sigma(g_i), that is, when the step keeps b.
+
+    4. sigma maps reduced forms to reduced forms.  With sq = isqrt(D), a
+       reduced (a, b, c) has 0 < b <= sq and sq + 1 - b <= 2|a| <= sq + b.
+       As D is not a square, sq^2 - b^2 < D - b^2 = 4|ac| < (sq + 1)^2 -
+       b^2, so 2|c| = (D - b^2) / 2|a| lies strictly between sq - b and
+       sq + 1 + b: the same bounds hold for c.
+    5. If g = (a, b, c) and rho(g) = (c, r, c') are reduced, then
+       rho(c', r, c) = (c, b, a).  rho(c', r, c) leads with c, and its
+       middle coefficient is the r' = -r (mod 2|c|) with sq - 2|c| < r'
+       <= sq.  Since r = -b (mod 2|c|), r' = b (mod 2|c|), and b lies in
+       that window by 4, so r' = b and the last coefficient is
+       (b^2 - D) / 4c = a.
+    6. rho is one-to-one on the reduced forms of discriminant D
+       (Buchmann and Vollmer, as above), and by 4 and 5 it carries the
+       reduced form sigma(rho(g)) to sigma(g).  So if the step from g_i is
+       an edge centre, induction from sigma(g_(i+1)) = g_i gives
+       sigma(g_(i+1+k)) = g_(i-k) for every k: the cycle is its own mirror
+       image, and the lead of g_(i+1+k), the c of g_(i-k), is the lead of
+       g_(i+1-k).  The leads alternate in sign, so the cycle has even
+       length L, and the step from g_j is a centre iff g_j =
+       sigma(g_(j+1)) = g_(2i-j), iff j = i (mod L/2): there are two
+       centres, L/2 steps apart.  The leads of g_(i+1), ..., g_(i+L/2) and
+       the c of g_(i+L/2), which leads g_(i+1+L/2), are all the leads.
+       Only ambiguous classes, those equal to their inverse, have such
+       cycles, since (c, b, a) is properly equivalent to (a, -b, c); every
+       (a, b, c) with a | b, diagonal forms among them, is ambiguous.
+
+    mu reduces f once and keeps the answer for the reduced form in a small
+    memo.  If a query that needs positions or steps (`represents`,
+    `representation_witness`, `binary_roots`) has left a record of that
+    cycle, mu reads its leads.  Otherwise `_mu_walk` streams the cycle in
+    O(1) memory, keeping the running maximum of the negative leads.  It
+    stops at a c of -1, since no negative value is larger; at its second
+    edge centre, counting the step into the start as one when
+    rho(sigma(start)) = start, by 6; and at the start again on a cycle
+    with no centre.  An ambiguous cycle whose first centre in walk order
+    is step i >= -1 is read in i + L/2 + 1 forms: L/2 when the start
+    follows a centre, as the start of every diagonal form tried does, and
+    at most L - 1, since one of the two centres lies in -1..L/2 - 2.  It
+    never builds a record.
     """
     if not is_anisotropic(f):
         raise IsotropicFormError(
@@ -516,18 +594,16 @@ def mu(f: BinaryForm) -> int:
     disc = f.disc
     sq = isqrt(disc)
     start, _ = _reduce_form((f.a, f.b, f.c), disc, sq)
-    # keep this read: a cached record's leads are cheaper than a re-walk
-    record = _records.get(start)
-    if record is not None:
-        return max(a for a in record[1] if a < 0)
-    # a reduced form has ac < 0, and c leads the next form of the cycle
-    best = min(start[0], start[2])
-    for (a, _, _), _ in _walk(start, disc, sq):
-        if a == -1:
-            return a
-        if best < a < 0:
-            best = a
-    return best
+    value = _mu_values.get(start)
+    if value is None:
+        # keep this read: a cached record's leads are cheaper than a walk
+        record = _records.get(start)
+        value = (_mu_walk(start, disc, sq) if record is None
+                 else max(a for a in record[1] if a < 0))
+        if len(_mu_values) >= _RECORD_SLOTS:
+            del _mu_values[next(iter(_mu_values))]
+        _mu_values[start] = value
+    return value
 
 
 # -- automorphs and root norms ----------------------------------------------

@@ -17,7 +17,7 @@ from operator import mul
 from typing import Optional
 
 from . import binary
-from .arith import divisors
+from .arith import divisors, int_vector
 from .errors import InternalCheckError, InvalidInputError, NotARootError
 from .lattice import Lattice
 
@@ -135,8 +135,10 @@ def reflectivity_indicator(lat: Lattice, budget: int = 10) -> ReflectivityVerdic
     orthogonal group, and an anisotropic rootless one has infinite
     orthogonal group with trivial Weyl group.  Rank >= 3 indefinite input
     returns Unknown; deciding it needs the full fundamental-polyhedron
-    machinery, which is out of scope here.
+    machinery, which is out of scope here.  The budget must be an integer
+    >= 1 at every rank, though only rank >= 3 spends it.
     """
+    (budget,) = int_vector((budget,))
     if budget < 1:
         raise InvalidInputError("budget must be >= 1")
     pos, neg = lat.signature()

@@ -17,6 +17,15 @@ from reflekt.lattice import Lattice
 U = Lattice.hyperbolic_plane()
 
 
+@pytest.fixture(autouse=True)
+def fresh_mu_memo():
+    """Every test walks its own cycles: mu answers nothing from values an
+    earlier test left in its memo, so a cap a test sets is met."""
+    from reflekt import binary
+
+    binary._mu_values.clear()
+
+
 def diag(*entries):
     return Lattice.diagonal(*entries)
 

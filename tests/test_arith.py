@@ -1,5 +1,8 @@
 import random
+import re
+import signal
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +190,18 @@ def test_is_nonresidue_matches_the_squares(p):
         assert is_nonresidue(a, p) == (a % p not in squares)
 
 
+@pytest.mark.parametrize("a,p,message", [
+    (2.0, 7, "expected integer entries"),
+    (2, 7.0, "expected integer entries"),
+    (Fraction(2), 7, "expected integer entries"),
+    (2, 0, "requires a prime p >= 2, got 0"),
+    (5, 1, "requires a prime p >= 2, got 1"),
+    (3, -7, "requires a prime p >= 2, got -7")])
+def test_is_nonresidue_rejects_bad_input(a, p, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        is_nonresidue(a, p)
+
+
 class TestNonresiduePrime:
     def test_examples(self):
         assert nonresidue_prime(1) == 7
@@ -342,3 +357,27 @@ def test_smallest_nonresidue():
         r = smallest_nonresidue(q)
         assert jacobi(r, q) == -1
         assert all(jacobi(s, q) != -1 for s in range(2, r))
+    # the bound q is never reached when q is not a square
+    for q in range(3, 2000, 2):
+        if isqrt(q) ** 2 != q:
+            assert jacobi(smallest_nonresidue(q), q) == -1
+
+
+@pytest.fixture
+def one_second_alarm():
+    """Fail a call that runs past one second instead of hanging the suite."""
+    def expire(signum, frame):
+        raise AssertionError("the call did not return within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(1)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("q", [1, 9, 25, 3**6, (11 * 13)**2])
+def test_smallest_nonresidue_of_a_square_is_refused(one_second_alarm, q):
+    # every symbol (r/q) of a square q is 0 or 1: the search stops at q
+    with pytest.raises(InvalidInputError, match=f"{q} is a square"):
+        smallest_nonresidue(q)

@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import combinations_with_replacement
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,7 @@ from conftest import (binary_roots_oracle, brute_values, class_walk_oracle,
                       representation_oracle_values, sqrt_classes_oracle,
                       square_parts_oracle, witness_walk_oracle)
 from reflekt import binary as b
-from reflekt.arith import divisors
+from reflekt.arith import divisors, factorize, is_prime
 from reflekt.lattice import Lattice
 from reflekt.errors import (EffortLimitExceeded, InvalidInputError,
                             IsotropicFormError)
@@ -429,13 +430,19 @@ class TestStreamedMu:
             streamed = b.mu(f)
             assert not b._records
             b._reduction(f)
+            b._mu_values.clear()
             return streamed, b.mu(f)
         finally:
             b._records.clear()
 
     # x^2 - 2y^2, x^2 - 13y^2 and -x^2 + 7y^2 have mu = -1 and stop early;
     # the last reduces to (-1, 4, 3), a start with a negative lead, as do
-    # -3x^2 + xy + 5y^2 and -2x^2 + 14y^2; the three after are imprimitive
+    # -3x^2 + xy + 5y^2 and -2x^2 + 14y^2; the three after are imprimitive.
+    # Then: diagonal (x^2 - 94y^2, 16 forms) and odd-b (x^2 + xy - 23y^2,
+    # 11x^2 + 9xy - 3y^2) ambiguous cycles; forms of cycles with no edge
+    # centre, (2, 1, -18) and (6, 11, -37); and reduced starts on either
+    # side of x^2 - 94y^2's two centres, (-15, 16, 2) -> (2, 16, -15) and
+    # (-13, 18, 1) -> (1, 18, -13)
     @given(indefinite_forms())
     @example((1, 0, -2))
     @example((1, 0, -13))
@@ -445,6 +452,15 @@ class TestStreamedMu:
     @example((2, 0, -6))
     @example((3, 3, -3))
     @example((6, 0, -10))
+    @example((1, 0, -94))
+    @example((1, 1, -23))
+    @example((11, 9, -3))
+    @example((2, 1, -18))
+    @example((6, 11, -37))
+    @example((-15, 16, 2))
+    @example((2, 16, -15))
+    @example((1, 18, -13))
+    @example((-13, 18, 1))
     @settings(max_examples=200, deadline=None)
     def test_both_routes_match_the_oracle(self, t):
         f = b.BinaryForm(*t)
@@ -461,21 +477,114 @@ class TestStreamedMu:
 
     def test_walk_stops_at_minus_one(self, monkeypatch):
         # in x^2 - d y^2 with a solution of x^2 - d y^2 = -1, the lead -1
-        # sits halfway round the cycle: a cap that admits the forms up to it
-        # lets mu answer, though the record of the whole cycle is refused
+        # sits halfway round the cycle, just after an edge centre, and the
+        # form before it has c = -1.  From a start j forms past the other
+        # centre the walk answers on reading that form, L/2 - j forms in,
+        # where the centre after it is L/2 forms further on; the record of
+        # the whole cycle is refused under the same cap
         for d in (13, 61, 1021, 999_999_937):
-            f = b.BinaryForm.from_d(d)
-            cycle = cycle_oracle(f)
+            cycle = cycle_oracle(b.BinaryForm.from_d(d))
             half = [g[0] for g in cycle].index(-1)
-            assert 2 * half == len(cycle)
-            b._records.clear()
-            monkeypatch.setattr(b, "_CYCLE_CAP", half + 1)
-            assert b.mu(f) == -1
-            with pytest.raises(EffortLimitExceeded):
-                b._reduction(f)
-            monkeypatch.setattr(b, "_CYCLE_CAP", half)
-            with pytest.raises(EffortLimitExceeded):
-                b.mu(f)
+            assert 2 * half == len(cycle) and cycle[half - 1][2] == -1
+            for j in (1, half // 2, half - 1):
+                f = b.BinaryForm(*cycle[j])
+                b._records.clear()
+                monkeypatch.setattr(b, "_CYCLE_CAP", half - j)
+                assert b.mu(f) == -1
+                with pytest.raises(EffortLimitExceeded):
+                    b._reduction(f)
+                b._mu_values.clear()
+                monkeypatch.setattr(b, "_CYCLE_CAP", half - j - 1)
+                with pytest.raises(EffortLimitExceeded):
+                    b.mu(f)
+
+    @staticmethod
+    def first_centre(cycle):
+        """The index i >= -1 of the first edge centre met walking from
+        cycle[0], the step from cycle[i] to cycle[i + 1], or None."""
+        n = len(cycle)
+        for i in range(-1, n - 1):
+            a, b_, c = cycle[i % n]
+            if cycle[i + 1] == (c, b_, a):
+                return i
+        return None
+
+    def forms_read(self, f, monkeypatch):
+        """The forms mu's walk reads on f, as the least cap it answers under."""
+        cap = 0
+        while True:
+            b._mu_values.clear()
+            monkeypatch.setattr(b, "_CYCLE_CAP", cap)
+            try:
+                return cap, b.mu(f)
+            except EffortLimitExceeded:
+                cap += 1
+
+    @pytest.mark.parametrize("t", [(1, 0, -94), (1, 0, -7), (2, 0, -15),
+                                   (1, 1, -23), (1, 7, -28), (-7, 0, 30),
+                                   (2, 1, -18), (6, 11, -37)])
+    def test_walk_reads_to_the_second_centre(self, monkeypatch, t):
+        # from every start of the cycle: i + L/2 + 1 forms with the first
+        # centre at step i (the step into the start counts as i = -1), and
+        # all L forms on a cycle with no centre; none of these has -1
+        cycle = cycle_oracle(b.BinaryForm(*t))
+        n = len(cycle)
+        c_star = max(g[0] for g in cycle if g[0] < 0)
+        assert c_star < -1
+        centred = self.first_centre(cycle) is not None
+        assert centred == (t not in ((2, 1, -18), (6, 11, -37)))
+        for k in range(n):
+            rotated = cycle[k:] + cycle[:k]
+            i = self.first_centre(rotated)
+            expected = n if i is None else i + n // 2 + 1
+            assert self.forms_read(b.BinaryForm(*rotated[0]), monkeypatch) == \
+                (expected, c_star), (t, k)
+            if centred:
+                assert -1 <= i <= n // 2 - 2
+
+    def test_diagonal_cycles_are_walked_halfway(self, monkeypatch):
+        # the start of a diagonal form follows an edge centre, so its
+        # ambiguous cycle of L forms is read in at most L/2 + 1 forms, where
+        # the record of the cycle needs all L
+        seen = 0
+        for d in NONSQUARE:
+            for t in ((1, 0, -d), (2, 0, -d), (-3, 0, d)):
+                f = b.BinaryForm(*t)
+                if not b.is_anisotropic(f):
+                    continue
+                cycle = cycle_oracle(f)
+                n = len(cycle)
+                monkeypatch.setattr(b, "_CYCLE_CAP", n // 2 + 1)
+                b._records.clear()
+                b._mu_values.clear()
+                assert b.mu(f) == max(g[0] for g in cycle if g[0] < 0), t
+                if n > 2:
+                    seen += 1
+                    with pytest.raises(EffortLimitExceeded):
+                        b._reduction(f)
+        assert seen > 350, seen
+
+    def test_mu_memo_is_bounded_and_walks_once(self, monkeypatch):
+        # one walk per reduced start form while its value is held; the
+        # memo keeps the _RECORD_SLOTS most recent values, oldest out first
+        forms = [b.BinaryForm.from_d(d) for d in NONSQUARE[:b._RECORD_SLOTS + 1]]
+        walked = []
+        walk = b._mu_walk
+
+        def counted_walk(start, disc, sq):
+            walked.append(start)
+            return walk(start, disc, sq)
+
+        monkeypatch.setattr(b, "_mu_walk", counted_walk)
+        b._records.clear()
+        values = [b.mu(f) for f in forms]
+        assert len(walked) == len(forms) == len(set(walked))
+        assert len(b._mu_values) == b._RECORD_SLOTS
+        assert walked[0] not in b._mu_values
+        assert [b.mu(f) for f in forms[1:]] == values[1:]
+        assert len(walked) == len(forms)
+        assert b.mu(forms[0]) == values[0]
+        assert walked[-1] == walked[0] and len(walked) == len(forms) + 1
 
     def test_mu_builds_no_record(self, monkeypatch):
         def no_record(start):
@@ -522,16 +631,33 @@ class TestStreamedMu:
             b._records.clear()
 
 
+# products of 5 to 7 primes up to 17, repeats allowed, up to 10^5
+SMOOTH = sorted({prod(ps) for k in (5, 6, 7)
+                 for ps in combinations_with_replacement((2, 3, 5, 7, 11, 13, 17), k)
+                 if prod(ps) <= 10**5})
+
+
 @st.composite
 def disc_and_target(draw):
     """(D, m): D <= 10^6 a discriminant, m = +-(any small m, a power of 2, an
-    odd prime power, or a power of a divisor of D), |m| <= 2 * 10^5."""
+    odd prime power, a power of a divisor of D, or one of SMOOTH times
+    2^i 3^j 5^k), |m| <= 2 * 10^5.  For half the smooth m, D is instead a
+    square plus a multiple of 4|m|, so that every prime gives roots."""
     d = draw(st.integers(1, 10**6).filter(lambda d: d % 4 in (0, 1)))
-    kind = draw(st.sampled_from(("small", "two", "odd", "divides")))
+    kind = draw(st.sampled_from(("small", "two", "odd", "divides", "smooth")))
     if kind == "small":
         m = draw(st.integers(1, 3000))
     elif kind == "two":
         m = 2 ** draw(st.integers(0, 17))
+    elif kind == "smooth":
+        m = draw(st.sampled_from(SMOOTH))
+        for p in (2, 3, 5):
+            k = draw(st.integers(0, 3))
+            while k and m * p**k > 10**5:
+                k -= 1
+            m *= p**k
+        if draw(st.booleans()):
+            d = draw(st.integers(0, 4 * m - 1)) ** 2 + 4 * m * draw(st.integers(0, 10))
     else:
         if kind == "odd":
             q = draw(st.sampled_from((3, 5, 7, 11, 13, 101, 443)))
@@ -557,10 +683,57 @@ class TestFastPathsMatchOracles:
     @example((4 * 2**6 * 3, 2**15))
     @example((1, 1))
     @example((5, 1))
+    @example((1, 3 * 5 * 7 * 11 * 13))     # 2^5 classes, each prime a residue
+    @example((4 * 15015 + 1, -15015))
+    @example((12, 2 * 3 * 5 * 7 * 11 * 13))  # 12 is a nonresidue mod 5 and 7
+    @example((4 * 3**4 * 5**2, 2**4 * 3**5 * 5**3))
     @settings(max_examples=300, deadline=None)
     def test_sqrt_classes_match_the_scan(self, dm):
         d, m = dm
         assert b._sqrt_classes_mod(d, m) == sqrt_classes_oracle(d, m)
+
+    @pytest.mark.parametrize("d,m", [
+        (1, 3 * 5 * 7 * 11 * 13 * 17), (1, -(2**5) * 3**3 * 5 * 7 * 11),
+        (12, 2 * 3 * 5 * 7 * 11 * 13), (5, 3**7 * 5**3),
+        (4 * 3**4 * 5**2, 2**4 * 3**5 * 5**3)])
+    def test_each_prime_power_is_lifted_once(self, monkeypatch, d, m):
+        # one Tonelli-Shanks and Hensel lift per prime power of 4|m|,
+        # however many roots the primes before it gave
+        lifted = []
+        lift = b._sqrt_mod_prime_power
+
+        def counted_lift(disc, p, e):
+            lifted.append((p, e))
+            return lift(disc, p, e)
+
+        monkeypatch.setattr(b, "_sqrt_mod_prime_power", counted_lift)
+        assert b._sqrt_classes_mod(d, m) == sqrt_classes_oracle(d, m)
+        assert lifted == list(factorize(4 * m))
+
+    def test_nonresidue_only_when_tonelli_shanks_loops(self, monkeypatch):
+        # with p - 1 = 2^s q, q odd, a root of a is a^((q + 1) / 2) when
+        # a^q = 1, always so for p = 3 (mod 4): no nonresidue is drawn then
+        drawn = []
+        nonresidue = b.smallest_nonresidue
+
+        def counted_nonresidue(p):
+            drawn.append(p)
+            return nonresidue(p)
+
+        monkeypatch.setattr(b, "smallest_nonresidue", counted_nonresidue)
+        loops = 0
+        for p in filter(is_prime, range(3, 400)):
+            q = p - 1
+            while q % 2 == 0:
+                q //= 2
+            for a in sorted({x * x % p for x in range(1, p)}):
+                drawn.clear()
+                r = b._sqrt_mod_prime(a, p)
+                assert r * r % p == a
+                assert drawn == ([p] if pow(a, q, p) != 1 else []), (a, p)
+                assert not (drawn and p % 4 == 3)
+                loops += bool(drawn)
+        assert loops > 1000
 
     @given(indefinite_forms())
     @settings(max_examples=150, deadline=None)
@@ -896,15 +1069,16 @@ class TestBudgets:
         finally:
             b._records.clear()
 
-    @pytest.mark.parametrize("t", [(1, 0, -94), (1, 0, -7), (3, 3, -3),
+    @pytest.mark.parametrize("t", [(2, 1, -18), (6, 11, -37), (8, 3, -23),
                                    (-10_007, 3, 250_000)])
     def test_streamed_and_recorded_cycles_share_the_cap(self, monkeypatch, t):
-        # no lead of -1, so the streamed walk runs the whole cycle: a cap of
-        # exactly its length admits both routes and one less refuses both,
-        # with the same text
+        # no lead of -1 and no edge centre, so the streamed walk runs the
+        # whole cycle: a cap of exactly its length admits both routes and one
+        # less refuses both, with the same text
         f = b.BinaryForm(*t)
         cycle = cycle_oracle(f)
         assert -1 not in [g[0] for g in cycle]
+        assert all(h != (g[2], g[1], g[0]) for g, h in zip(cycle, cycle[1:] + cycle[:1]))
         refusal = f"cycle through {cycle[0]} is longer than {len(cycle) - 1} forms"
         b._records.clear()
         try:
@@ -912,7 +1086,36 @@ class TestBudgets:
             assert b.mu(f) == mu_oracle(f)
             assert len(b._reduction(f).cycle[2]) == len(cycle)
             b._records.clear()
+            b._mu_values.clear()
             monkeypatch.setattr(b, "_CYCLE_CAP", len(cycle) - 1)
+            for route in (b.mu, b._reduction):
+                with pytest.raises(EffortLimitExceeded) as exc:
+                    route(f)
+                assert str(exc.value) == refusal
+            assert not b._records
+        finally:
+            b._records.clear()
+
+    @pytest.mark.parametrize("t", [(1, 0, -94), (1, 0, -7), (1, 7, -28),
+                                   (-7, 0, 30)])
+    def test_half_walk_shares_the_cap_text(self, monkeypatch, t):
+        # an ambiguous cycle whose start follows a centre is read in L/2
+        # forms: a cap of L/2 admits mu and refuses the record, and one less
+        # refuses both, with the text of _walk
+        f = b.BinaryForm(*t)
+        cycle = cycle_oracle(f)
+        half = len(cycle) // 2
+        assert cycle[-1] == (cycle[0][2], cycle[0][1], cycle[0][0])
+        assert -1 not in [g[0] for g in cycle]
+        refusal = f"cycle through {cycle[0]} is longer than {half - 1} forms"
+        b._records.clear()
+        try:
+            monkeypatch.setattr(b, "_CYCLE_CAP", half)
+            assert b.mu(f) == mu_oracle(f)
+            with pytest.raises(EffortLimitExceeded):
+                b._reduction(f)
+            b._mu_values.clear()
+            monkeypatch.setattr(b, "_CYCLE_CAP", half - 1)
             for route in (b.mu, b._reduction):
                 with pytest.raises(EffortLimitExceeded) as exc:
                     route(f)

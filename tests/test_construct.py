@@ -157,6 +157,31 @@ class TestMjFamily:
         assert len(cert.entries) == 2
         assert U3.norm(cert.entries[1].v) < U3.norm(cert.entries[0].v)
 
+    @pytest.mark.parametrize("args", [(U3, H, 2, 3, c.STRATEGY_PELL),
+                                      (U3, H, 1, 2, c.STRATEGY_PRIMES)],
+                             ids=["pell", "primes"])
+    def test_one_walk_per_entry(self, monkeypatch, args):
+        # _build_entry and validate_mj ask for the mu of each entry's form;
+        # the second ask reads the memo, so every form is walked once
+        walked, asked = [], []
+        walk, mu = binary._mu_walk, binary.mu
+
+        def counted_walk(start, disc, sq):
+            walked.append(start)
+            return walk(start, disc, sq)
+
+        def counted_mu(f):
+            asked.append((f.a, f.b, f.c))
+            return mu(f)
+
+        monkeypatch.setattr(binary, "_mu_walk", counted_walk)
+        monkeypatch.setattr(binary, "mu", counted_mu)
+        binary._records.clear()
+        cert = c.mj_family(*args[:4], strategy=args[4])
+        for e in cert.entries:
+            assert asked.count((e.gram[0][0], 2 * e.gram[0][1], e.gram[1][1])) == 2
+        assert len(walked) == len(set(walked)) == len(set(asked))
+
     def test_primes_strategy(self):
         cert = c.mj_family(U3, H, 1, 1, strategy=c.STRATEGY_PRIMES)
         entry = cert.entries[0]

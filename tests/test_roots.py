@@ -306,6 +306,15 @@ class TestReflectivity:
                               ((0, 1), (1, 0)), ((2, 1), (1, 3)))}
         assert statuses == {rt.REFLECTIVE, rt.NON_REFLECTIVE}
 
+    @pytest.mark.parametrize("lat", [
+        Lattice(((-2,),)), U, Lattice(((1, 0), (0, -8))),
+        Lattice(((2, 1), (1, 3)))], ids=["rank1", "U", "rank2", "definite"])
+    @pytest.mark.parametrize("budget", [2.5, 3.0, "3", None])
+    def test_budget_is_an_integer_at_every_rank(self, lat, budget):
+        # only rank >= 3 spends the budget, but every rank checks it
+        with pytest.raises(InvalidInputError, match="expected integer entries"):
+            rt.reflectivity_indicator(lat, budget)
+
     def test_rank3_unknown_with_evidence(self):
         verdict = rt.reflectivity_indicator(diag(1, -1, -1), budget=2)
         assert verdict.status == rt.UNKNOWN
