@@ -10,6 +10,12 @@ each square root b of D modulo 4|m| gives a form (m, b, c), and m is
 primitively represented iff one of them reduces into the cycle of f; the
 reducing matrices turn the first such class into a witness.
 
+One walk, `_walk`, steps every cycle of reduced forms.  The continued
+fraction of sqrt(d) and the Pell unit are read off half the cycle of the
+principal form (1, 2 a0, a0^2 - d), which is its own mirror image
+(`_principal_half`).  Every product of rho steps, a Pell unit's or a
+witness's, is taken by `_step_product`, in chunks and a balanced tree.
+
 Each public call reduces f once.  `represents`, `representation_witness`
 and `binary_roots` walk each cycle once and keep it as a record, in a cache
 of the 64 most recently used: the position of every form in rho order, the
@@ -53,9 +59,8 @@ from .errors import (EffortLimitExceeded, InternalCheckError,
 
 _REDUCE_CAP = 100_000
 _CYCLE_CAP = 10_000_000
-# continued-fraction terms multiplied sequentially at the leaves of
-# pell_fundamental's product tree
-_PELL_CHUNK = 64
+# rho steps multiplied sequentially at the leaves of `_step_product`'s tree
+_STEP_CHUNK = 64
 
 
 def is_square(n: int) -> bool:
@@ -120,6 +125,8 @@ class CFExpansion:
 
     q_sequence[i] is the denominator Q_{i+1} of the standard
     (P, Q)-recurrence over one period; Q at the end of the period is 1.
+    The period is the |t| of the rho steps of the principal cycle, from
+    (1, 2 a0, a0^2 - d), and the Q's are the |c| of its forms.
     """
 
     d: int
@@ -128,26 +135,42 @@ class CFExpansion:
     q_sequence: tuple[int, ...]
 
 
-def cf_sqrt(d: int) -> CFExpansion:
-    """Canonical periodic continued fraction expansion of sqrt(d); a period
-    longer than _CYCLE_CAP terms raises EffortLimitExceeded."""
+def _principal_half(d: int):
+    """(a0, ts, cs) for the principal form (1, 2 a0, a0^2 - d) of
+    discriminant 4d: the t of each rho step of its cycle and the c of the
+    form it leaves, from the start up to the second edge centre (a step that
+    keeps b), the step into the start being the first.
+
+    The cycle has length L = k for an even period k of sqrt(d) and 2k for an
+    odd one, and its steps are a palindrome ending in 2 a0: t_(L-2-j) = t_j,
+    t_(L-1) = 2 a0, with centres at L/2 - 1 and L - 1 (the lemma in `mu`).
+    So the L/2 steps returned determine the cycle.  A half longer than
+    _CYCLE_CAP forms raises `_walk`'s EffortLimitExceeded."""
     (d,) = int_vector((d,))
     if d <= 0 or is_square(d):
         raise InvalidInputError(f"d must be a positive non-square, got {d}")
     a0 = isqrt(d)
-    m, q, a = 0, 1, a0
-    period, qs = [], []
-    for _ in range(_CYCLE_CAP):
-        m = a * q - m
-        q = (d - m * m) // q
-        a = (a0 + m) // q
-        period.append(a)
-        qs.append(q)
-        if a == 2 * a0 and q == 1:
-            return CFExpansion(d=d, a0=a0, period=tuple(period),
-                               q_sequence=tuple(qs))
-    raise EffortLimitExceeded(
-        f"the period of sqrt({d}) is longer than {_CYCLE_CAP} terms")
+    ts, cs = [], []
+    for (_, b, c), t in _walk((1, 2 * a0, a0 * a0 - d), 4 * d, isqrt(4 * d)):
+        ts.append(t)
+        cs.append(c)
+        if t * c == b:
+            return a0, ts, cs
+
+
+def cf_sqrt(d: int) -> CFExpansion:
+    """Canonical periodic continued fraction expansion of sqrt(d), read off
+    half the principal cycle: the period and the Q's are the |t| and |c| of
+    `_principal_half`.  The half is the whole period when its last Q is 1
+    (an odd period); otherwise the period is the half, its mirror image
+    without the last term, and 2 a0 with Q = 1.  A half cycle longer than
+    _CYCLE_CAP forms raises EffortLimitExceeded."""
+    a0, ts, cs = _principal_half(d)
+    period, qs = [abs(t) for t in ts], [abs(c) for c in cs]
+    if qs[-1] != 1:
+        period += period[-2::-1] + [2 * a0]
+        qs += qs[-2::-1] + [1]
+    return CFExpansion(d=d, a0=a0, period=tuple(period), q_sequence=tuple(qs))
 
 
 @dataclass(frozen=True)
@@ -164,38 +187,25 @@ class PellSolution:
                 f"({self.x},{self.y}) does not solve the unit equation for d={self.d}")
 
 
-def _convergent_matrix(terms):
-    """The product of the matrices ((a, 1), (1, 0)) over terms, by the
-    convergent recurrence."""
-    p, p_prev, q, q_prev = 1, 0, 0, 1
-    for a in terms:
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-    return ((p, p_prev), (q, q_prev))
-
-
 def pell_fundamental(d: int) -> PellSolution:
-    """Fundamental unit solution from the convergents of sqrt(d).
+    """Fundamental unit solution from half the principal cycle.
 
-    With period length k, p_(k-1)^2 - d q_(k-1)^2 = (-1)^k, so the unit is
-    the convergent that ends the period when k is even and the one that
-    ends the second period when k is odd.  (p, q) is the first column of
-    the product of the matrices ((a, 1), (1, 0)) over a0 and the terms up
-    to it.  Chunks of _PELL_CHUNK terms are multiplied by the recurrence
-    and the chunk products in a balanced tree, so the large factors meet
-    only near the root and the cost is not quadratic in the period.
+    The product A of the rho steps S_t = ((0, -1), (1, t)) over the cycle
+    of (1, 2 a0, a0^2 - d) is, up to sign, its automorph
+    ((x - a0 y, .), (y, .)) for the unit x + y sqrt(d).  The steps are a
+    palindrome ending in 2 a0 (`_principal_half`), and J S_t J = S_t^-1 for
+    J = ((0, 1), (1, 0)).  So if H = ((p, q), (r, s)) is the product of the
+    steps before the centre t, the steps after it, H's in reverse, multiply
+    to J H^-1 J = ((p, -r), (-q, s)), and A = H S_t ((p, -r), (-q, s))
+    S_(2 a0).  A's first column (u, v) is the second column of the product
+    before S_(2 a0), and x = |u + a0 v|, y = |v|: only the first half of the
+    cycle is multiplied, by `_step_product`.
     """
-    cf = cf_sqrt(d)
-    k = len(cf.period)
-    steps = k - 1 if k % 2 == 0 else 2 * k - 1
-    terms = (cf.a0,) + (cf.period * 2)[:steps]
-    mats = [_convergent_matrix(terms[i:i + _PELL_CHUNK])
-            for i in range(0, len(terms), _PELL_CHUNK)]
-    while len(mats) > 1:
-        mats = [_mat2_mul(*mats[i:i + 2]) if i + 1 < len(mats) else mats[i]
-                for i in range(0, len(mats), 2)]
-    (x, _), (y, _) = mats[0]
-    return PellSolution(x=x, y=y, d=d)
+    a0, ts, _ = _principal_half(d)
+    (p, q), (r, s) = h = _step_product(ts[:-1])
+    (_, u), (_, v) = _mat2_mul(_mat2_mul(h, ((0, -1), (1, ts[-1]))),
+                               ((p, -r), (-q, s)))
+    return PellSolution(x=abs(u + a0 * v), y=abs(v), d=d)
 
 
 # -- reduction of indefinite forms (non-square discriminant) ----------------
@@ -223,6 +233,25 @@ def _mat2_mul(m1, m2):
              m1[0][0] * m2[0][1] + m1[0][1] * m2[1][1]),
             (m1[1][0] * m2[0][0] + m1[1][1] * m2[1][0],
              m1[1][0] * m2[0][1] + m1[1][1] * m2[1][1]))
+
+
+def _step_product(ts):
+    """The product of the rho step matrices ((0, -1), (1, t)) over ts, in
+    order.  Chunks of _STEP_CHUNK steps are accumulated by columns, as in
+    `_reduce_form`, and the chunk products are multiplied in a balanced tree,
+    so the large factors meet only near the root and the cost is not
+    quadratic in len(ts)."""
+    mats = []
+    for i in range(0, len(ts), _STEP_CHUNK):
+        m00, m01, m10, m11 = 1, 0, 0, 1
+        for t in ts[i:i + _STEP_CHUNK]:
+            m00, m01 = m01, t * m01 - m00
+            m10, m11 = m11, t * m11 - m10
+        mats.append(((m00, m01), (m10, m11)))
+    while len(mats) > 1:
+        mats = [_mat2_mul(*mats[i:i + 2]) if i + 1 < len(mats) else mats[i]
+                for i in range(0, len(mats), 2)]
+    return mats[0] if mats else ((1, 0), (0, 1))
 
 
 def _reduce_form(form, disc, sq):
@@ -676,14 +705,9 @@ def _class_witness(f: BinaryForm, red: _Reduction, m: int, g_red, q):
     """The primitive solution of f = m of the class (m, b, c) with
     (m, b, c)∘q = g_red in f's cycle: the first column of p r q^-1, where
     f∘p is f's reduced form and r the product of the stored steps from it
-    (index 0) to g_red, accumulated by columns as in _reduce_form."""
+    (index 0) to g_red, by `_step_product`."""
     pos, _, steps = red.cycle
-    r00, r01, r10, r11 = 1, 0, 0, 1
-    for i in range(pos[g_red]):
-        t = steps[i]
-        r00, r01 = r01, t * r01 - r00
-        r10, r11 = r11, t * r11 - r10
-    r = ((r00, r01), (r10, r11))
+    r = _step_product(steps[:pos[g_red]])
     tot = _mat2_mul(_mat2_mul(red.p, r), _mat2_inv_unimodular(q))
     v = (tot[0][0], tot[1][0])
     if f.value(*v) != m or gcd(v[0], v[1]) != 1:

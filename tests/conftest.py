@@ -380,13 +380,30 @@ def pell_oracle(d):
     return p, y
 
 
+def cf_oracle(d):
+    """The continued fraction of sqrt(d), d a positive non-square, by the
+    standard (P, Q) recurrence over one period, the loop `cf_sqrt` ran
+    before it read the principal cycle of reduced forms."""
+    from reflekt.binary import CFExpansion
+
+    a0 = isqrt(d)
+    m, q, a = 0, 1, a0
+    period, qs = [], []
+    while not (a == 2 * a0 and q == 1):
+        m = a * q - m
+        q = (d - m * m) // q
+        a = (a0 + m) // q
+        period.append(a)
+        qs.append(q)
+    return CFExpansion(d=d, a0=a0, period=tuple(period), q_sequence=tuple(qs))
+
+
 def pell_sequential_oracle(d):
     """(x, y) of the fundamental unit by the convergent loop that ran before
     pell_fundamental multiplied in a product tree: from (a0, 1), one
-    recurrence step per term up to the end of the (second) period."""
-    from reflekt import binary as b
-
-    cf = b.cf_sqrt(d)
+    recurrence step per term of `cf_oracle` up to the end of the (second)
+    period."""
+    cf = cf_oracle(d)
     k = len(cf.period)
     steps = k - 1 if k % 2 == 0 else 2 * k - 1
     p_prev, p = 1, cf.a0

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (binary_roots_oracle, brute_values, class_walk_oracle,
-                      cycle_oracle, gram_divisibility_oracle, mu_oracle,
-                      pell_oracle, pell_sequential_oracle, primitive_oracle,
-                      representation_oracle_values, sqrt_classes_oracle,
-                      square_parts_oracle, witness_walk_oracle)
+from conftest import (binary_roots_oracle, brute_values, cf_oracle,
+                      class_walk_oracle, cycle_oracle, gram_divisibility_oracle,
+                      mu_oracle, pell_oracle, pell_sequential_oracle,
+                      primitive_oracle, representation_oracle_values,
+                      sqrt_classes_oracle, square_parts_oracle,
+                      witness_walk_oracle)
 from reflekt import binary as b
 from reflekt.arith import divisors, factorize, is_prime
 from reflekt.lattice import Lattice
@@ -114,6 +115,29 @@ class TestContinuedFractions:
                 p, p_prev = a * p + p_prev, p
                 q, q_prev = a * q + q_prev, q
 
+    def test_matches_the_recurrence_oracle(self):
+        # every non-square d < 20 000: 2 524 odd periods, read whole off the
+        # half cycle, and even ones, completed by the mirror image
+        for d in range(2, 20_000):
+            if not b.is_square(d):
+                assert b.cf_sqrt(d) == cf_oracle(d), d
+
+    def test_principal_cycle_is_a_palindrome_with_two_centres(self):
+        # the lemma behind _principal_half: the full cycle of
+        # (1, 2 a0, a0^2 - d) has steps t_(L-2-j) = t_j ending in 2 a0, and
+        # its only edge centres are the steps L/2 - 1 and L - 1
+        for d in range(2, 2000):
+            if b.is_square(d):
+                continue
+            a0 = isqrt(d)
+            walk = list(b._walk((1, 2 * a0, a0 * a0 - d), 4 * d, isqrt(4 * d)))
+            ts = [t for _, t in walk]
+            n = len(ts)
+            assert all(ts[n - 2 - j] == ts[j] for j in range(n - 1)), d
+            assert ts[-1] == 2 * a0, d
+            centres = [i for i, ((_, mid, c), t) in enumerate(walk) if t * c == mid]
+            assert centres == [n // 2 - 1, n - 1], d
+
     def test_reconstruction_reproduces_expansion(self):
         # the data (a0, period) regenerate the same expansion
         for d in (7, 8, 24, 61, 109):
@@ -157,7 +181,7 @@ class TestPell:
     def test_product_tree_matches_the_sequential_loop(self, monkeypatch, chunk):
         # a chunk far below the period length makes every d take the tree
         # path, with odd and even leaf counts and a ragged last chunk
-        monkeypatch.setattr(b, "_PELL_CHUNK", chunk)
+        monkeypatch.setattr(b, "_STEP_CHUNK", chunk)
         parities = set()
         for d in NONSQUARE + [991, 9_999_991, 10_000_141]:
             k = len(b.cf_sqrt(d).period)
@@ -167,10 +191,11 @@ class TestPell:
         assert parities == {0, 1}
 
     def test_long_period_matches_the_sequential_loop(self):
-        # an odd period of 4 769 terms: the unit ends the second period,
-        # 9 538 terms in 150 leaves of the default chunk size
+        # an odd period of 4 769 terms: the principal cycle has 9 538 steps,
+        # and the 4 768 before its first centre make 75 leaves of the
+        # default chunk size
         d = 10_000_141
-        assert len(b.cf_sqrt(d).period) == 4769 and b._PELL_CHUNK == 64
+        assert len(b.cf_sqrt(d).period) == 4769 and b._STEP_CHUNK == 64
         s = b.pell_fundamental(d)
         assert (s.x, s.y) == pell_sequential_oracle(d)
 
@@ -851,6 +876,35 @@ class TestFastPathsMatchOracles:
             for d in divisors(2 * exponent):
                 assert first_witness(-d) == witness_walk_oracle(f, -d)[:1], (t, d)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+    def test_witness_step_tree_matches_the_matrix_walk(self, monkeypatch, chunk):
+        # a chunk far below the cycle length makes each witness multiply its
+        # steps in a tree, with odd and even leaf counts and a ragged last
+        # chunk; the oracle multiplies the step matrices one by one
+        monkeypatch.setattr(b, "_STEP_CHUNK", chunk)
+        lengths, step_product = [], b._step_product
+
+        def counted_product(ts):
+            lengths.append(len(ts))
+            return step_product(ts)
+
+        monkeypatch.setattr(b, "_step_product", counted_product)
+        for t in [(1, 0, -94), (1, 0, -421), (3, 8, -7), (2, 1, -18),
+                  (6, 11, -37), (-7, 0, 30), (5, 13, -11)]:
+            f = b.BinaryForm(*t)
+            for n in range(-30, 31):
+                if not n:
+                    continue
+                expected = None
+                for s, m in square_parts_oracle(n):
+                    ws = witness_walk_oracle(f, m)
+                    if ws:
+                        expected = (s * ws[0][0], s * ws[0][1])
+                        break
+                assert b.representation_witness(f, n) == expected, (t, n)
+        assert max(lengths) > 3 * chunk
+        assert {-(-n // chunk) % 2 for n in lengths if n} == {0, 1}
+
     def test_witness_searches_one_class(self, monkeypatch):
         # forms shaped like the perfbench binary_queries pool, (a, 2h, c)
         # with h^2 - ac log-spread over 250..250 000, queried at mu, at -6..6
@@ -1133,19 +1187,28 @@ class TestBudgets:
         finally:
             b._records.clear()
 
-    def test_cf_period_cap(self, monkeypatch):
-        # sqrt(7) = [2; 1, 1, 1, 4]: a period of 4 terms fits a cap of 4,
-        # not one of 3, and the Pell unit and automorph inherit the refusal
-        monkeypatch.setattr(b, "_CYCLE_CAP", 4)
-        assert b.cf_sqrt(7).period == (1, 1, 1, 4)
-        monkeypatch.setattr(b, "_CYCLE_CAP", 3)
-        assert b.cf_sqrt(8).period == (1, 4)
-        with pytest.raises(EffortLimitExceeded):
-            b.cf_sqrt(7)
-        with pytest.raises(EffortLimitExceeded):
-            b.pell_fundamental(7)
-        with pytest.raises(EffortLimitExceeded):
-            b.fundamental_automorph(b.BinaryForm.from_d(7))
+    @pytest.mark.parametrize("d", [7, 13, 94, 421, 991])
+    def test_cf_period_cap(self, monkeypatch, d):
+        # periods 4, 5, 16, 37 and 60: the principal cycle has L = k forms
+        # for an even period k and 2k for an odd one, and half of it is
+        # walked, so a cap of L/2 answers the expansion, the Pell unit and
+        # the automorph, and one less refuses all three with _walk's text
+        cf = cf_oracle(d)
+        k = len(cf.period)
+        half = k // 2 if k % 2 == 0 else k
+        start = (1, 2 * cf.a0, cf.a0 ** 2 - d)
+        calls = (b.cf_sqrt, b.pell_fundamental,
+                 lambda d: b.fundamental_automorph(b.BinaryForm.from_d(d)))
+        x, y = pell_oracle(d)
+        monkeypatch.setattr(b, "_CYCLE_CAP", half)
+        assert [call(d) for call in calls] == [
+            cf, b.PellSolution(x=x, y=y, d=d), ((x, d * y), (y, x))]
+        monkeypatch.setattr(b, "_CYCLE_CAP", half - 1)
+        for call in calls:
+            with pytest.raises(EffortLimitExceeded) as exc:
+                call(d)
+            assert str(exc.value) == (
+                f"cycle through {start} is longer than {half - 1} forms")
 
     def test_factorisation_budget(self):
         # -(2^89 - 1) is a prime beyond 2^64: trial division to its square

@@ -197,18 +197,15 @@ class TestBinaryCommands:
         assert x * x - d * y * y == 1
         assert x > 10**4300
 
-    @pytest.mark.parametrize("command,d,refusal", [
-        ("cf", 7, "the period of sqrt(7)"),
-        ("pell", 7, "the period of sqrt(7)"),
-        ("isometry", 7, "the period of sqrt(7)"),
-        ("mu", 94, "cycle through (1, 18, -13) is longer than 3 forms")],
-        ids=["cf", "pell", "isometry", "mu"])
+    @pytest.mark.parametrize("command", ["cf", "pell", "isometry", "mu"])
     def test_period_past_the_cycle_cap_is_refused(self, capsys, monkeypatch,
-                                                  command, d, refusal):
-        # sqrt(7) has a period of 4 terms and x^2 - 94y^2 a cycle of 16
-        # reduced forms, none with lead -1; under a cap of 3 the expansion
-        # and the streamed walk stop with a budget error
+                                                  command):
+        # x^2 - 94y^2 reduces to the principal form (1, 18, -13), whose cycle
+        # of 16 reduced forms has no lead -1; every command walks half of it
+        # (sqrt(94) has a period of 16 terms), so under a cap of 3 each
+        # stops with the same budget error
         from reflekt import binary
+        d, refusal = 94, "cycle through (1, 18, -13) is longer than 3 forms"
         monkeypatch.setattr(binary, "_CYCLE_CAP", 3)
         code, out = run(capsys, "--format", "json", "binary", command, "-D", str(d))
         assert code == 1

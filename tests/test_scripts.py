@@ -27,3 +27,18 @@ def test_mj_demo_certificates_reverify(tmp_path):
     assert [p.stem for p in written] == ["rank8_pell", "u3_deg4", "u3_pell", "u3_primes"]
     for path in written:
         assert f"  {path}: OK\n" in out
+
+
+def test_count_lines(tmp_path):
+    rows = [line.split() for line in _run(SCRIPTS / "count_lines.py").splitlines()]
+    names = [name for _, name in rows]
+    assert names[-1] == "total" and {"binary.py", "__init__.py"} <= set(names)
+    assert sum(int(n) for n, _ in rows[:-1]) == int(rows[-1][0])
+    # docstrings, comments and blank lines are left out; a statement that
+    # spans lines counts each of them
+    (tmp_path / "m.py").write_text(
+        '"""Module doc."""\n# comment\n\n'
+        'def f():\n    """Doc\n    string."""\n'
+        '    x = (1,\n         2)  # trailing\n    return x\n')
+    assert _run(SCRIPTS / "count_lines.py", tmp_path) == (
+        "     4  m.py\n     4  total\n")
