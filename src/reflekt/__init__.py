@@ -13,8 +13,7 @@ from .binary import (BinaryForm, CFExpansion, PellSolution, binary_roots,
                      cf_sqrt, is_anisotropic, mu, pell_fundamental,
                      representation_witness, represents)
 from .construct import (AvoidRootsCertificate, MjCertificate, avoid_roots,
-                        mj_family, nv_complements, pell_family,
-                        rescaling_family, select_pell_a)
+                        mj_family, nv_complements, pell_family, select_pell_a)
 from .errors import ToolkitError
 from .lattice import DiscriminantData, Lattice, Sublattice
 from .roots import (ReflectivityVerdict, find_roots_in_box, is_root, reflect,
@@ -30,6 +29,6 @@ __all__ = [
     "gcd_ext", "is_anisotropic", "is_prime", "is_root",
     "jacobi", "mj_family", "mu", "nonresidue_prime", "nv_complements",
     "pell_family", "pell_fundamental", "reflect", "reflectivity_indicator",
-    "representation_witness", "represents", "rescaling_family",
+    "representation_witness", "represents",
     "root_norm_candidates", "select_pell_a",
 ]

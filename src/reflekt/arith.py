@@ -252,6 +252,7 @@ def nonresidue_prime(k: int, exclude=frozenset(), minimum: int = 2,
     sufficient, but the returned prime is always confirmed directly by
     Euler's criterion.
     """
+    (k,) = int_vector((k,))
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
     # q = 1 (mod 4): p = 1 (mod q) gives (p/q) = +1; q = 3 (mod 4): a

@@ -340,11 +340,12 @@ class TestFactorizeBudget:
     lambda: factorize(12.0),
     lambda: divisors(12.0),
     lambda: nonresidue_prime(7.0),
+    lambda: nonresidue_prime("3"),
     lambda: is_prime(7.0),
     lambda: find_prime([(7, 8)], minimum=2.5),
     lambda: find_prime([(7, 8)], effort_limit=100.0),
-], ids=["factorize", "divisors", "nonresidue_prime", "is_prime",
-        "find_prime_minimum", "find_prime_effort_limit"])
+], ids=["factorize", "divisors", "nonresidue_prime", "nonresidue_prime_str",
+        "is_prime", "find_prime_minimum", "find_prime_effort_limit"])
 def test_scalars_reject_non_integers(call):
     with pytest.raises(InvalidInputError, match="expected integer entries"):
         call()

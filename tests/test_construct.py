@@ -2,6 +2,7 @@ import ast
 import hashlib
 import itertools
 import json
+import random
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -54,18 +55,62 @@ class TestAvoidRoots:
         failures = c.validate_avoid_roots(bad)
         assert failures  # 5 fails the residue condition for k=1
 
-    def test_one_mu_call_decides_the_range(self, monkeypatch):
-        # x^2 - 6y^2 represents -2 (2^2 - 6): one mu call reports it, and
-        # the per-value decision is never asked
-        def no_represents(*args):
-            raise AssertionError("validate_avoid_roots called represents")
+    def test_euler_checks_decide_the_range(self, monkeypatch):
+        # x^2 - 6y^2 represents -2 (2^2 - 6): the direct checks report it,
+        # and no cycle is walked for any certificate
+        def no_cycle(*args, **kwargs):
+            raise AssertionError("validate_avoid_roots walked a cycle")
 
-        monkeypatch.setattr(binary, "represents", no_represents)
+        for name in ("mu", "represents", "_walk", "_mu_walk"):
+            monkeypatch.setattr(binary, name, no_cycle)
         bad = c.AvoidRootsCertificate(
             n=2, b=1, primes=((1, 2), (2, 3)), a=6, form=binary.BinaryForm.from_d(6))
-        assert "mu = -2 is not below -2" in c.validate_avoid_roots(bad)
+        assert c.validate_avoid_roots(bad) == [
+            "direct check found x with x^2 = -1 mod 2",
+            "-2 is a quadratic residue mod 3",
+            "direct check found x with x^2 = -2 mod 3",
+            "brute force found -k represented for 1 k in 0..2, the smallest k = 2"]
         for n in range(1, 4):
             assert c.validate_avoid_roots(c.avoid_roots(n, 2)) == []
+        for n in (12, 16, 24, 40):
+            assert c.validate_avoid_roots(c.avoid_roots(n, 1)) == []
+
+    def test_accepted_certificates_pass_the_complete_decision(self):
+        # the lemma of validate_avoid_roots, against the mu oracle: every
+        # accepted prime list, honest or tampered, has mu below -n
+        rng = random.Random(23)
+        odd_primes = [p for p in range(3, 200) if is_prime(p)]
+        kinds = {"honest": 0, "swap": 0, "two": 0, "divides": 0,
+                 "composite": 0, "a_off": 0, "random": 0}
+        accepted = rejected = 0
+        for _ in range(700):
+            n, bval = rng.randint(2, 5), rng.randint(1, 6)
+            primes = list(c._nonresidue_primes(n, bval, set(), DEFAULT_EFFORT_LIMIT))
+            kind = rng.choice(sorted(kinds))
+            kinds[kind] += 1
+            i = rng.randrange(1, n) if kind == "divides" else rng.randrange(n)
+            k, p = primes[i]
+            if kind == "swap":
+                p = rng.choice(odd_primes)
+            elif kind == "two":
+                p = 2
+            elif kind == "divides":  # -k = 0 is a square mod p
+                p = next(q for q in (2, 3, 5) if k % q == 0)
+            elif kind == "composite":
+                p *= rng.choice(odd_primes)
+            primes[i] = (k, p)
+            if kind == "random":  # any distinct odd primes, residues or not
+                primes = list(enumerate(rng.sample(odd_primes[:16], n), start=1))
+            a = prod(q for _, q in primes) + (rng.choice((-1, 1)) if kind == "a_off" else 0)
+            cert = c.AvoidRootsCertificate(n=n, b=bval, primes=tuple(primes), a=a,
+                                           form=binary.BinaryForm.from_d(a * bval))
+            if c.validate_avoid_roots(cert) == []:
+                accepted += 1
+                assert binary.mu(cert.form) < -n, cert
+            else:
+                rejected += 1
+        assert accepted >= 100 and rejected >= 300, (accepted, rejected)
+        assert min(kinds.values()) >= 60, kinds
 
     def test_exclusion_grows_a(self):
         used = set()
@@ -85,7 +130,6 @@ class TestAvoidRoots:
 
 class TestBruteForceCheck:
     def test_half_box_matches_the_full_box_scan(self):
-        import random
         rng = random.Random(5)
         # xy, -y^2 and -x^2 reach -2500 only on the edges of the box
         cases = [(0, 1, 0, 2500), (0, -1, 0, 2500), (0, 0, -1, 2500),
@@ -473,7 +517,6 @@ class TestEInAmbientCoordinates:
         (diag(1, 1, 1, -1, -1, -1), (1, 0, 0, 0, 0, 0)),
     ])
     def test_tampered_e_matches_the_coordinate_route(self, ambient, h):
-        import random
         cert = replace(c.mj_family(ambient, h, 1, 1), entries=())
         _, _, comp, _ = c._h_complement(ambient, h)
         rng = random.Random(11)
@@ -593,24 +636,14 @@ class TestNvComplements:
     lambda: c.avoid_roots(2, 1, 1e6),
     lambda: c.nv_complements(U, 2.0, 2),
     lambda: c.nv_complements(U, 2, 2.0),
-    lambda: c.rescaling_family(U, 2.0),
+    lambda: c.pell_family("3"),
+    lambda: c.pell_family(None),
 ], ids=["mj_N", "mj_count", "mj_search_box", "mj_effort_limit", "select_pell_a",
         "avoid_roots_n", "avoid_roots_b", "avoid_roots_effort_limit", "nv_d",
-        "nv_box", "rescaling_n"])
+        "nv_box", "pell_family_str", "pell_family_none"])
 def test_scalars_reject_non_integers(call):
     with pytest.raises(InvalidInputError, match="expected integer entries"):
         call()
-
-
-class TestRescalingFamily:
-    def test_examples(self):
-        fam = c.rescaling_family(U, 2)
-        assert fam == (U, U.rescale(2))
-        assert c.rescaling_family(diag(1, -8), 1) == (diag(1, -8),)
-        fam = c.rescaling_family(diag(1, -2), 4)
-        for k, lat in enumerate(fam, start=1):
-            assert lat.gram == tuple(tuple(k * x for x in row)
-                                     for row in diag(1, -2).gram)
 
 
 class TestSerialization:

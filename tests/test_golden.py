@@ -62,6 +62,8 @@ CASES = (
      ("roots", "reflectivity", "inputs/u_m2.json", "--budget", "2")),
     ("construct_avoid_roots_json", 0, J + ("construct", "avoid-roots", "-n", "3", "-b", "2")),
     ("construct_avoid_roots_text", 0, ("construct", "avoid-roots", "-n", "2", "-b", "1")),
+    ("construct_avoid_roots_n40_json", 0,
+     J + ("construct", "avoid-roots", "-n", "40", "-b", "1")),
     ("construct_pell_family_json", 0, J + ("construct", "pell-family", "-a", "7")),
     ("construct_pell_family_text", 0, ("construct", "pell-family", "-a", "5")),
     ("construct_mj_json", 0,
@@ -80,6 +82,8 @@ CASES = (
      ("construct", "nv-complements", "--lattice", "inputs/d8.json", "-d", "1",
       "--box", "3")),
     ("verify_avoid_roots_json", 0, J + ("verify", "construct_avoid_roots_json.out")),
+    ("verify_avoid_roots_n40_json", 0,
+     J + ("verify", "construct_avoid_roots_n40_json.out")),
     ("verify_pell_family_text", 0, ("verify", "construct_pell_family_json.out")),
     ("verify_mj_json", 0, J + ("verify", "construct_mj_json.out")),
     ("verify_mj_odd6_json", 0, J + ("verify", "construct_mj_odd6_json.out")),
