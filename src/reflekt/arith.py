@@ -26,13 +26,14 @@ def int_vector(v) -> tuple[int, ...]:
     """v as a tuple of exact integers; anything else is InvalidInputError.
 
     operator.index accepts int (and bool) only, so 2.5, Fraction(1, 2) and
-    "1" are rejected instead of being truncated or parsed.
+    "1" are rejected instead of being truncated or parsed, and so is a v
+    that is not iterable, such as 5 or None.
     """
     try:
         return tuple(map(index, v))
     except TypeError:
-        raise InvalidInputError(
-            f"expected integer entries, got {list(v)!r}") from None
+        shown = list(v) if hasattr(v, "__iter__") else v
+        raise InvalidInputError(f"expected integer entries, got {shown!r}") from None
 
 
 def gcd_ext(a: int, b: int) -> tuple[int, int, int]:
@@ -147,14 +148,15 @@ def crt(congruences) -> tuple[int, int]:
 
 def find_prime(congruences, minimum: int = 2, exclude=frozenset(),
                effort_limit: int = DEFAULT_EFFORT_LIMIT) -> int:
-    """Smallest prime >= minimum, not in exclude, satisfying every
-    (residue, modulus) pair of congruences (combined by crt).
+    """Smallest prime >= minimum, not in exclude (an iterable of integers),
+    satisfying every (residue, modulus) pair of congruences (combined by crt).
 
     Requires the combined residue to be coprime to the combined modulus
     (otherwise the progression contains at most one prime and Dirichlet
     does not apply).
     """
     minimum, effort_limit = int_vector((minimum, effort_limit))
+    exclude = frozenset(int_vector(exclude))
     if minimum < 1:
         raise InvalidInputError(f"minimum must be >= 1, got {minimum}")
     r, m = crt(congruences)

@@ -16,18 +16,19 @@ principal form (1, 2 a0, a0^2 - d), which is its own mirror image
 (`_principal_half`).  Every product of rho steps, a Pell unit's or a
 witness's, is taken by `_step_product`, in chunks and a balanced tree.
 
-Each public call reduces f once.  `represents`, `representation_witness`
-and `binary_roots` walk each cycle once and keep it as a record, in a cache
-of the 64 most recently used: the position of every form in rho order, the
-set of leading coefficients, and the t of every rho step, whose matrix is
-((0, -1), (1, t)).  Both cycle tests are then lookups, and a witness
-multiplies the stored steps from f's reduced form to its class's instead
-of walking the cycle again.  mu is the largest negative leading coefficient
-of the cycle (the proof is in `mu`).  It reads the leads of a cached record
-when there is one, and otherwise streams the cycle in O(1) memory; it
-stops at a lead of -1, and on the mirror-symmetric cycle of an ambiguous
-class after half of it.  It never builds a record, and it keeps its last
-64 answers, so a certificate validated after it is built walks once.
+Each public call reduces f once, and each question has one memo, a
+`functools.lru_cache` of the 64 most recently used reduced start forms.
+`represents`, `representation_witness` and `binary_roots` walk each cycle
+once and keep it as a record, by `_cycle`: the position of every form in
+rho order, the set of leading coefficients, and the t of every rho step,
+whose matrix is ((0, -1), (1, t)).  Both cycle tests are then lookups, and
+a witness multiplies the stored steps from f's reduced form to its class's
+instead of walking the cycle again.  mu is the largest negative leading
+coefficient of the cycle (the proof is in `mu`).  `_mu_walk` streams the
+cycle in O(1) memory and keeps the answer; it stops at a lead of -1, and
+on the mirror-symmetric cycle of an ambiguous class after half of it.  mu
+never builds or reads a record, and a certificate validated after it is
+built walks once.
 
 The square roots come from the factorisation of 4|m|: Tonelli-Shanks
 modulo each odd prime, a Hensel lift to each prime power, and CRT.  That
@@ -48,6 +49,7 @@ lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -293,6 +295,15 @@ def _walk(start, disc, sq):
         f"cycle through {start} is longer than {_CYCLE_CAP} forms")
 
 
+# `_cycle` keeps the records of the 64 most recently used start forms, and
+# `_mu_walk` their mu values.  Sized for repeated queries on a few forms at a
+# time: every record can hold a long cycle, so a larger cache mostly costs
+# memory.  A certificate validated right after it is built asks for the mu
+# of the same form twice, and the second call walks nothing.
+_RECORD_SLOTS = 64
+
+
+@lru_cache(maxsize=_RECORD_SLOTS)
 def _mu_walk(start, disc, sq):
     """The largest negative leading coefficient of the cycle through the
     reduced form start, by `_walk`'s step inlined, in O(1) memory.  It
@@ -322,36 +333,18 @@ def _mu_walk(start, disc, sq):
         f"cycle through {start} is longer than {_CYCLE_CAP} forms")
 
 
-# The cycle records of `_cycle`, keyed by start form, oldest use first.
-# Sized for repeated queries on a few forms at a time: every entry can hold
-# a long cycle, so a larger cache mostly costs memory.  `mu` reads a record
-# here when one exists, but never adds or reorders one.
-_RECORD_SLOTS = 64
-_records = {}
-# The values of `mu` by reduced start form, oldest first, as many as there
-# are record slots: a certificate validated right after it is built asks
-# for the mu of the same form twice, and the second call walks nothing.
-_mu_values = {}
-
-
+@lru_cache(maxsize=_RECORD_SLOTS)
 def _cycle(start):
     """The rho-cycle through a reduced form, as (positions, leads, steps):
     a read-only dict from each form to its index in rho order from start,
     the frozenset of the forms' leading coefficients, and the t of each rho
-    step, steps[i] leading from the form at index i to the next.  Kept in
-    `_records`, least recently used first."""
-    record = _records.pop(start, None)
-    if record is None:
-        disc = start[1] ** 2 - 4 * start[0] * start[2]
-        pos, steps = {}, []
-        for g, t in _walk(start, disc, isqrt(disc)):
-            pos[g] = len(steps)
-            steps.append(t)
-        record = pos, frozenset(g[0] for g in pos), tuple(steps)
-        if len(_records) >= _RECORD_SLOTS:
-            del _records[next(iter(_records))]
-    _records[start] = record
-    return record
+    step, steps[i] leading from the form at index i to the next."""
+    disc = start[1] ** 2 - 4 * start[0] * start[2]
+    pos, steps = {}, []
+    for g, t in _walk(start, disc, isqrt(disc)):
+        pos[g] = len(steps)
+        steps.append(t)
+    return pos, frozenset(g[0] for g in pos), tuple(steps)
 
 
 class _Reduction(NamedTuple):
@@ -603,16 +596,16 @@ def mu(f: BinaryForm) -> int:
        cycles, since (c, b, a) is properly equivalent to (a, -b, c); every
        (a, b, c) with a | b, diagonal forms among them, is ambiguous.
 
-    mu reduces f once and keeps the answer for the reduced form in a small
-    memo.  If a query that needs positions or steps (`represents`,
-    `representation_witness`, `binary_roots`) has left a record of that
-    cycle, mu reads its leads.  Otherwise `_mu_walk` streams the cycle in
-    O(1) memory, keeping the running maximum of the negative leads.  It
-    stops at a c of -1, since no negative value is larger; at its second
-    edge centre, counting the step into the start as one when
-    rho(sigma(start)) = start, by 6; and at the start again on a cycle
-    with no centre.  An ambiguous cycle whose first centre in walk order
-    is step i >= -1 is read in i + L/2 + 1 forms: L/2 when the start
+    mu reduces f once and asks `_mu_walk` about the reduced form; its
+    `lru_cache` keeps the answers for the 64 most recently used.  mu never
+    reads a cycle record, even one that `represents`,
+    `representation_witness` or `binary_roots` has left.  `_mu_walk`
+    streams the cycle in O(1) memory, keeping the running maximum of the
+    negative leads.  It stops at a c of -1, since no negative value is
+    larger; at its second edge centre, counting the step into the start as
+    one when rho(sigma(start)) = start, by 6; and at the start again on a
+    cycle with no centre.  An ambiguous cycle whose first centre in walk
+    order is step i >= -1 is read in i + L/2 + 1 forms: L/2 when the start
     follows a centre, as the start of every diagonal form tried does, and
     at most L - 1, since one of the two centres lies in -1..L/2 - 2.  It
     never builds a record.
@@ -623,16 +616,7 @@ def mu(f: BinaryForm) -> int:
     disc = f.disc
     sq = isqrt(disc)
     start, _ = _reduce_form((f.a, f.b, f.c), disc, sq)
-    value = _mu_values.get(start)
-    if value is None:
-        # keep this read: a cached record's leads are cheaper than a walk
-        record = _records.get(start)
-        value = (_mu_walk(start, disc, sq) if record is None
-                 else max(a for a in record[1] if a < 0))
-        if len(_mu_values) >= _RECORD_SLOTS:
-            del _mu_values[next(iter(_mu_values))]
-        _mu_values[start] = value
-    return value
+    return _mu_walk(start, disc, sq)
 
 
 # -- automorphs and root norms ----------------------------------------------

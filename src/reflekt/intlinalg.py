@@ -21,7 +21,13 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def freeze(rows) -> IntMatrix:
-    return tuple(int_vector(row) for row in rows)
+    """rows as a tuple of `int_vector`s; rows that are not iterable are an
+    InvalidInputError too."""
+    try:
+        return tuple(int_vector(row) for row in rows)
+    except TypeError:
+        raise InvalidInputError(
+            f"expected integer entries, got {rows!r}") from None
 
 
 def identity(n: int) -> IntMatrix:

@@ -74,6 +74,8 @@ class Lattice:
         return len(self.gram)
 
     def _check_vector(self, v):
+        if not hasattr(v, "__len__"):
+            v = intlinalg.int_vector(v)
         if len(v) != self.rank:
             raise InvalidInputError(
                 f"vector length {len(v)} does not match rank {self.rank}")

@@ -18,12 +18,14 @@ U = Lattice.hyperbolic_plane()
 
 
 @pytest.fixture(autouse=True)
-def fresh_mu_memo():
-    """Every test walks its own cycles: mu answers nothing from values an
-    earlier test left in its memo, so a cap a test sets is met."""
+def fresh_cycle_memos():
+    """Every test walks its own cycles: neither a cycle record nor a mu
+    value that an earlier test left is read, so a cap a test sets is met.
+    This is the one place tests reset the memos between tests."""
     from reflekt import binary
 
-    binary._mu_values.clear()
+    binary._cycle.cache_clear()
+    binary._mu_walk.cache_clear()
 
 
 def diag(*entries):

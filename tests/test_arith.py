@@ -344,8 +344,16 @@ class TestFactorizeBudget:
     lambda: is_prime(7.0),
     lambda: find_prime([(7, 8)], minimum=2.5),
     lambda: find_prime([(7, 8)], effort_limit=100.0),
+    # not sequences: a scalar exclude, a scalar for a (residue, modulus) pair
+    lambda: nonresidue_prime(3, exclude=5),
+    lambda: find_prime([(7, 8)], exclude=None),
+    lambda: find_prime([(7, 8)], exclude={7.0}),
+    lambda: find_prime([7, 8]),
+    lambda: crt([5]),
 ], ids=["factorize", "divisors", "nonresidue_prime", "nonresidue_prime_str",
-        "is_prime", "find_prime_minimum", "find_prime_effort_limit"])
+        "is_prime", "find_prime_minimum", "find_prime_effort_limit",
+        "nonresidue_prime_exclude", "find_prime_exclude_none",
+        "find_prime_exclude_float", "find_prime_pair", "crt_pair"])
 def test_scalars_reject_non_integers(call):
     with pytest.raises(InvalidInputError, match="expected integer entries"):
         call()

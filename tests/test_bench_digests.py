@@ -39,3 +39,19 @@ def test_smoke_run_matches_the_recorded_digest(bench_root, workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_full_binary_pass_matches_the_recorded_digest(bench_root):
+    # the smoke pass runs one op of each kind; the full first pass repeats
+    # forms, so its answers come through the cycle and mu memos
+    proc = subprocess.run(
+        [sys.executable, str(bench_root / "perfbench" / "run.py"),
+         "--workload", "binary_queries", "--seed", "1", "--seconds", "0",
+         "--trace", "0"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "digest matches the reference" in proc.stdout
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

@@ -445,20 +445,17 @@ LARGE_MU_FORMS = [
 
 
 class TestStreamedMu:
-    """mu streams the cycle unless a record of it is cached: both routes
-    against the downward loop of conftest.mu_oracle."""
+    """mu streams the cycle, and the leads of the cycle record agree with it:
+    both against the downward loop of conftest.mu_oracle."""
 
     @staticmethod
     def both_routes(f):
-        b._records.clear()
-        try:
-            streamed = b.mu(f)
-            assert not b._records
-            b._reduction(f)
-            b._mu_values.clear()
-            return streamed, b.mu(f)
-        finally:
-            b._records.clear()
+        """mu(f), which builds no record, and the largest negative lead of
+        f's cycle record."""
+        records = b._cycle.cache_info()
+        streamed = b.mu(f)
+        assert b._cycle.cache_info() == records
+        return streamed, max(a for a in b._reduction(f).cycle[1] if a < 0)
 
     # x^2 - 2y^2, x^2 - 13y^2 and -x^2 + 7y^2 have mu = -1 and stop early;
     # the last reduces to (-1, 4, 3), a start with a negative lead, as do
@@ -500,6 +497,16 @@ class TestStreamedMu:
         assert mu_oracle(f) == expected
         assert self.both_routes(f) == (expected, expected)
 
+    @pytest.mark.parametrize("t", [(1, 0, -13), (1, 0, -94), (11, 9, -3),
+                                   (2, 1, -18), (-10_007, 3, 250_000)])
+    def test_mu_walks_past_a_cached_record(self, t):
+        # a record of f's cycle is no route to mu: it still walks once
+        f = b.BinaryForm(*t)
+        b._reduction(f)
+        assert b._cycle.cache_info().currsize == 1
+        assert b.mu(f) == mu_oracle(f)
+        assert b._mu_walk.cache_info().misses == 1
+
     def test_walk_stops_at_minus_one(self, monkeypatch):
         # in x^2 - d y^2 with a solution of x^2 - d y^2 = -1, the lead -1
         # sits halfway round the cycle, just after an edge centre, and the
@@ -513,12 +520,11 @@ class TestStreamedMu:
             assert 2 * half == len(cycle) and cycle[half - 1][2] == -1
             for j in (1, half // 2, half - 1):
                 f = b.BinaryForm(*cycle[j])
-                b._records.clear()
                 monkeypatch.setattr(b, "_CYCLE_CAP", half - j)
                 assert b.mu(f) == -1
                 with pytest.raises(EffortLimitExceeded):
                     b._reduction(f)
-                b._mu_values.clear()
+                b._mu_walk.cache_clear()
                 monkeypatch.setattr(b, "_CYCLE_CAP", half - j - 1)
                 with pytest.raises(EffortLimitExceeded):
                     b.mu(f)
@@ -538,7 +544,7 @@ class TestStreamedMu:
         """The forms mu's walk reads on f, as the least cap it answers under."""
         cap = 0
         while True:
-            b._mu_values.clear()
+            b._mu_walk.cache_clear()
             monkeypatch.setattr(b, "_CYCLE_CAP", cap)
             try:
                 return cap, b.mu(f)
@@ -580,8 +586,8 @@ class TestStreamedMu:
                 cycle = cycle_oracle(f)
                 n = len(cycle)
                 monkeypatch.setattr(b, "_CYCLE_CAP", n // 2 + 1)
-                b._records.clear()
-                b._mu_values.clear()
+                b._cycle.cache_clear()
+                b._mu_walk.cache_clear()
                 assert b.mu(f) == max(g[0] for g in cycle if g[0] < 0), t
                 if n > 2:
                     seen += 1
@@ -589,27 +595,19 @@ class TestStreamedMu:
                         b._reduction(f)
         assert seen > 350, seen
 
-    def test_mu_memo_is_bounded_and_walks_once(self, monkeypatch):
+    def test_mu_memo_is_bounded_and_walks_once(self):
         # one walk per reduced start form while its value is held; the
-        # memo keeps the _RECORD_SLOTS most recent values, oldest out first
+        # memo keeps the _RECORD_SLOTS most recently used values
         forms = [b.BinaryForm.from_d(d) for d in NONSQUARE[:b._RECORD_SLOTS + 1]]
-        walked = []
-        walk = b._mu_walk
-
-        def counted_walk(start, disc, sq):
-            walked.append(start)
-            return walk(start, disc, sq)
-
-        monkeypatch.setattr(b, "_mu_walk", counted_walk)
-        b._records.clear()
+        assert b._mu_walk.cache_info().maxsize == b._RECORD_SLOTS
         values = [b.mu(f) for f in forms]
-        assert len(walked) == len(forms) == len(set(walked))
-        assert len(b._mu_values) == b._RECORD_SLOTS
-        assert walked[0] not in b._mu_values
+        info = b._mu_walk.cache_info()
+        assert info.misses == len(forms) and info.hits == 0
+        assert info.currsize == b._RECORD_SLOTS
         assert [b.mu(f) for f in forms[1:]] == values[1:]
-        assert len(walked) == len(forms)
+        assert b._mu_walk.cache_info().misses == len(forms)
         assert b.mu(forms[0]) == values[0]
-        assert walked[-1] == walked[0] and len(walked) == len(forms) + 1
+        assert b._mu_walk.cache_info().misses == len(forms) + 1
 
     def test_mu_builds_no_record(self, monkeypatch):
         def no_record(start):
@@ -617,43 +615,44 @@ class TestStreamedMu:
 
         forms = [b.BinaryForm.from_d(d) for d in NONSQUARE] + \
             [b.BinaryForm(*t) for t in ((-1, 0, 7), (2, 0, -6), (1, -11, 11))]
-        b._records.clear()
+        cycle = b._cycle
         monkeypatch.setattr(b, "_cycle", no_record)
         for f in forms:
             assert b.mu(f) == mu_oracle(f), f
-        assert not b._records
+        assert cycle.cache_info().currsize == 0
 
     def test_streamed_mu_memory_is_flat(self):
         # the record of this 97 532-form cycle takes about 23 MiB
         import tracemalloc
         f = b.BinaryForm.from_d(9_999_999_967)
-        b._records.clear()
         tracemalloc.start()
         try:
             assert b.mu(f) == -3
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert not b._records
+        assert b._cycle.cache_info().currsize == 0
         assert peak < 2**20, peak
 
     def test_record_cache_is_least_recently_used(self):
-        # the 64 most recently used cycles are kept; a hit renews an entry,
-        # and a read by mu does not
+        # the 64 most recently used cycles are kept: a 65th start evicts the
+        # least recently used one, a hit renews an entry, and mu reads none
         starts = [b._reduce_form((1, 0, -d), 4 * d, isqrt(4 * d))[0]
                   for d in NONSQUARE[:b._RECORD_SLOTS + 1]]
-        b._records.clear()
-        try:
-            for s in starts[:b._RECORD_SLOTS]:
-                b._cycle(s)
-            assert b._cycle(starts[0]) is b._records[starts[0]]
-            b.mu(b.BinaryForm.from_d(NONSQUARE[1]))
-            b._cycle(starts[-1])
-            assert len(b._records) == b._RECORD_SLOTS
-            assert starts[1] not in b._records
-            assert list(b._records)[-2:] == [starts[0], starts[-1]]
-        finally:
-            b._records.clear()
+        assert b._cycle.cache_info().maxsize == b._RECORD_SLOTS
+        records = [b._cycle(s) for s in starts[:b._RECORD_SLOTS]]
+        assert b._cycle(starts[0]) is records[0]
+        b.mu(b.BinaryForm.from_d(NONSQUARE[1]))
+        b._cycle(starts[-1])
+        info = b._cycle.cache_info()
+        assert info.currsize == b._RECORD_SLOTS
+        assert (info.hits, info.misses) == (1, b._RECORD_SLOTS + 1)
+        # the renewed start is still held, and the next oldest is not
+        assert b._cycle(starts[0]) is records[0]
+        assert b._cycle(starts[2]) is records[2]
+        assert b._cycle.cache_info().misses == b._RECORD_SLOTS + 1
+        assert b._cycle(starts[1]) is not records[1]
+        assert b._cycle.cache_info().misses == b._RECORD_SLOTS + 2
 
 
 # products of 5 to 7 primes up to 17, repeats allowed, up to 10^5
@@ -1115,13 +1114,9 @@ class TestBudgets:
     """Overflowing a reduction or cycle cap is a budget, not a bug."""
 
     def test_cycle_cap(self, monkeypatch):
-        b._records.clear()
         monkeypatch.setattr(b, "_CYCLE_CAP", 2)
-        try:
-            with pytest.raises(EffortLimitExceeded):
-                b.mu(b.BinaryForm.from_d(94))
-        finally:
-            b._records.clear()
+        with pytest.raises(EffortLimitExceeded):
+            b.mu(b.BinaryForm.from_d(94))
 
     @pytest.mark.parametrize("t", [(2, 1, -18), (6, 11, -37), (8, 3, -23),
                                    (-10_007, 3, 250_000)])
@@ -1134,21 +1129,17 @@ class TestBudgets:
         assert -1 not in [g[0] for g in cycle]
         assert all(h != (g[2], g[1], g[0]) for g, h in zip(cycle, cycle[1:] + cycle[:1]))
         refusal = f"cycle through {cycle[0]} is longer than {len(cycle) - 1} forms"
-        b._records.clear()
-        try:
-            monkeypatch.setattr(b, "_CYCLE_CAP", len(cycle))
-            assert b.mu(f) == mu_oracle(f)
-            assert len(b._reduction(f).cycle[2]) == len(cycle)
-            b._records.clear()
-            b._mu_values.clear()
-            monkeypatch.setattr(b, "_CYCLE_CAP", len(cycle) - 1)
-            for route in (b.mu, b._reduction):
-                with pytest.raises(EffortLimitExceeded) as exc:
-                    route(f)
-                assert str(exc.value) == refusal
-            assert not b._records
-        finally:
-            b._records.clear()
+        monkeypatch.setattr(b, "_CYCLE_CAP", len(cycle))
+        assert b.mu(f) == mu_oracle(f)
+        assert len(b._reduction(f).cycle[2]) == len(cycle)
+        b._cycle.cache_clear()
+        b._mu_walk.cache_clear()
+        monkeypatch.setattr(b, "_CYCLE_CAP", len(cycle) - 1)
+        for route in (b.mu, b._reduction):
+            with pytest.raises(EffortLimitExceeded) as exc:
+                route(f)
+            assert str(exc.value) == refusal
+        assert b._cycle.cache_info().currsize == 0
 
     @pytest.mark.parametrize("t", [(1, 0, -94), (1, 0, -7), (1, 7, -28),
                                    (-7, 0, 30)])
@@ -1162,30 +1153,22 @@ class TestBudgets:
         assert cycle[-1] == (cycle[0][2], cycle[0][1], cycle[0][0])
         assert -1 not in [g[0] for g in cycle]
         refusal = f"cycle through {cycle[0]} is longer than {half - 1} forms"
-        b._records.clear()
-        try:
-            monkeypatch.setattr(b, "_CYCLE_CAP", half)
-            assert b.mu(f) == mu_oracle(f)
-            with pytest.raises(EffortLimitExceeded):
-                b._reduction(f)
-            b._mu_values.clear()
-            monkeypatch.setattr(b, "_CYCLE_CAP", half - 1)
-            for route in (b.mu, b._reduction):
-                with pytest.raises(EffortLimitExceeded) as exc:
-                    route(f)
-                assert str(exc.value) == refusal
-            assert not b._records
-        finally:
-            b._records.clear()
+        monkeypatch.setattr(b, "_CYCLE_CAP", half)
+        assert b.mu(f) == mu_oracle(f)
+        with pytest.raises(EffortLimitExceeded):
+            b._reduction(f)
+        b._mu_walk.cache_clear()
+        monkeypatch.setattr(b, "_CYCLE_CAP", half - 1)
+        for route in (b.mu, b._reduction):
+            with pytest.raises(EffortLimitExceeded) as exc:
+                route(f)
+            assert str(exc.value) == refusal
+        assert b._cycle.cache_info().currsize == 0
 
     def test_reduce_cap(self, monkeypatch):
-        b._records.clear()
         monkeypatch.setattr(b, "_REDUCE_CAP", 1)
-        try:
-            with pytest.raises(EffortLimitExceeded):
-                b.represents(b.BinaryForm.from_d(7), -3)
-        finally:
-            b._records.clear()
+        with pytest.raises(EffortLimitExceeded):
+            b.represents(b.BinaryForm.from_d(7), -3)
 
     @pytest.mark.parametrize("d", [7, 13, 94, 421, 991])
     def test_cf_period_cap(self, monkeypatch, d):

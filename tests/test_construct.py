@@ -207,24 +207,19 @@ class TestMjFamily:
     def test_one_walk_per_entry(self, monkeypatch, args):
         # _build_entry and validate_mj ask for the mu of each entry's form;
         # the second ask reads the memo, so every form is walked once
-        walked, asked = [], []
-        walk, mu = binary._mu_walk, binary.mu
-
-        def counted_walk(start, disc, sq):
-            walked.append(start)
-            return walk(start, disc, sq)
+        asked = []
+        mu = binary.mu
 
         def counted_mu(f):
             asked.append((f.a, f.b, f.c))
             return mu(f)
 
-        monkeypatch.setattr(binary, "_mu_walk", counted_walk)
         monkeypatch.setattr(binary, "mu", counted_mu)
-        binary._records.clear()
         cert = c.mj_family(*args[:4], strategy=args[4])
         for e in cert.entries:
             assert asked.count((e.gram[0][0], 2 * e.gram[0][1], e.gram[1][1])) == 2
-        assert len(walked) == len(set(walked)) == len(set(asked))
+        walks = binary._mu_walk.cache_info()
+        assert walks.misses == walks.currsize == len(set(asked))
 
     def test_primes_strategy(self):
         cert = c.mj_family(U3, H, 1, 1, strategy=c.STRATEGY_PRIMES)
@@ -252,7 +247,6 @@ class TestMjFamily:
         # the first candidate's entry form (2, 0, -4a) is the first cycle
         # walked; x^2 - 2a y^2 is no longer checked on the way
         monkeypatch.setattr(binary, "_CYCLE_CAP", 3)
-        binary._records.clear()
         with pytest.raises(EffortLimitExceeded, match=re.escape(
                 "cycle through (2, 2736, -2596) is longer than 3 forms")):
             c.mj_family(U3, H, 1, 1, strategy=c.STRATEGY_PRIMES)

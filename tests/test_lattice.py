@@ -325,8 +325,12 @@ class TestEnumerateNormVectors:
         lambda lat: lat.box_vectors(2.0),
         lambda lat: roots.find_roots_in_box(lat, 2.0),
         lambda lat: roots.reflectivity_indicator(lat, 2.0),
+        # not sequences: a scalar Gram matrix, row and vector
+        lambda lat: Lattice(5),
+        lambda lat: Lattice(((1, 0), 3)),
+        lambda lat: Lattice.diagonal(1, -1).norm(5),
     ], ids=["norm", "budget", "walk_box", "box_vectors", "roots_box",
-            "reflectivity_budget"])
+            "reflectivity_budget", "gram", "gram_row", "vector"])
     def test_non_integer_scalars_are_rejected(self, call):
         with pytest.raises(InvalidInputError, match="expected integer entries"):
             call(dsum(U, U, diag(-2)))
