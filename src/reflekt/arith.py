@@ -126,11 +126,17 @@ def crt(congruences) -> tuple[int, int]:
     """Combine (residue, modulus) pairs with pairwise coprime moduli into the
     single pair (r, m), 0 <= r < m, with m the product of the moduli.
 
-    Each modulus must be an integer >= 1 and each residue an integer in
-    [0, modulus).  No pairs give (0, 1).
+    congruences must be an iterable of pairs; each modulus must be an
+    integer >= 1 and each residue an integer in [0, modulus).  No pairs
+    give (0, 1).
     """
+    try:
+        pairs = [(residue, modulus) for residue, modulus in map(int_vector, congruences)]
+    except (TypeError, ValueError):  # not iterable, or a pair of the wrong length
+        raise InvalidInputError(
+            f"expected (residue, modulus) pairs, got {congruences!r}") from None
     r, m = 0, 1
-    for residue, modulus in map(int_vector, congruences):
+    for residue, modulus in pairs:
         if modulus < 1:
             raise InvalidInputError(f"modulus must be >= 1, got {modulus}")
         if not 0 <= residue < modulus:

@@ -31,8 +31,8 @@ from math import gcd, lcm, prod
 from . import binary, intlinalg
 from .arith import (DEFAULT_EFFORT_LIMIT, DETERMINISTIC_PRIMALITY_BOUND, gcd_ext,
                     int_vector, is_nonresidue, is_prime, jacobi, nonresidue_prime)
-from .errors import (ConstructionError, DependentBasisError, InternalCheckError,
-                     InvalidInputError, SpanMismatchError)
+from .errors import (ConstructionError, DependentBasisError, EffortLimitExceeded,
+                     InternalCheckError, InvalidInputError, SpanMismatchError)
 from .lattice import Lattice, Sublattice
 
 DEFAULT_SEARCH_BOX = 10
@@ -83,7 +83,12 @@ class AvoidRootsCertificate:
 def _nonresidue_primes(n, b, used, effort_limit):
     """((k, p_k) for k = 1..n): p_k is the smallest prime above b, not in
     `used`, with -k a nonresidue mod p_k.  Each p_k joins `used`, so repeated
-    calls sharing one set give distinct primes."""
+    calls sharing one set give distinct primes.  Each k costs at least one
+    candidate, so n > effort_limit is refused before any search."""
+    if n > effort_limit:
+        raise EffortLimitExceeded(
+            f"{n} nonresidue primes need at least {n} candidates, more than "
+            f"the effort limit {effort_limit}")
     primes = []
     for k in range(1, n + 1):
         p = nonresidue_prime(k, exclude=frozenset(used), minimum=b + 1,
@@ -96,7 +101,11 @@ def _nonresidue_primes(n, b, used, effort_limit):
 def avoid_roots(n: int, b: int,
                 effort_limit: int = DEFAULT_EFFORT_LIMIT) -> AvoidRootsCertificate:
     """Smallest-prime certificate that x^2 - ab y^2 represents none of 0..-n;
-    its primes are distinct, greater than b, and chosen greedily for k = 1..n."""
+    its primes are distinct, greater than b, and chosen greedily for k = 1..n.
+
+    effort_limit caps the candidates of each prime search and, as each k
+    costs at least one, n itself: n > effort_limit raises
+    EffortLimitExceeded before any search."""
     n, b, effort_limit = int_vector((n, b, effort_limit))
     if n < 1 or b < 1:
         raise InvalidInputError("avoid_roots needs n >= 1 and b >= 1")
@@ -338,9 +347,13 @@ def mj_family(ambient: Lattice, h, big_n: int, count: int,
     isotropic partner f~ with (e/m, f~) = 1, and set u_a = e/m - d*a*f~ of
     norm -2da.  A strategy supplies a strictly increasing sequence of a; the
     primes strategy uses the avoid_roots recipe's primes directly, fresh ones
-    for each a, and builds no avoid-roots certificate.  Each candidate entry
-    is accepted only after every final check passes directly on the
-    saturated sublattice spanned by v (the primitive generator below u_a) and h.
+    for each a, and builds no avoid-roots certificate.  effort_limit caps
+    each of its prime searches and, as in `avoid_roots`, their number per
+    a: the threshold N*T^2 (T the index of complement + Zh) above
+    effort_limit raises EffortLimitExceeded before any search.  Each
+    candidate entry is accepted only after every final check passes
+    directly on the saturated sublattice spanned by v (the primitive
+    generator below u_a) and h.
     """
     big_n, count, search_box, effort_limit = int_vector(
         (big_n, count, search_box, effort_limit))

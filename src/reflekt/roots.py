@@ -58,8 +58,8 @@ def reflect(lat: Lattice, v, u):
 
 def root_norm_candidates(lat: Lattice) -> tuple[int, ...]:
     """Negative divisors of 2 e(lattice); a superset of achievable root norms
-    by the lemma in `find_roots_in_box`.  At rank 2, e has a closed form
-    (`binary._gram_exponent`), so no Hermite pass runs."""
+    by the lemma in `find_roots_in_box` (q divides 2e).  At rank 2, e has a
+    closed form (`binary._gram_exponent`), so no Hermite pass runs."""
     g = lat.gram
     e = (binary._gram_exponent(g[0][0], g[0][1], g[1][1]) if lat.rank == 2
          else lat.discriminant().exponent)
@@ -72,34 +72,41 @@ def find_roots_in_box(lat: Lattice, box: int) -> tuple[tuple[int, ...], ...]:
     Complete within the box only.  Lemma: the norm q of a root v divides
     2e, where e is the exponent of the discriminant group.  Proof: 2v/q pairs
     integrally with L, so it lies in L^#, and as v is primitive its class
-    in L^#/L has order |q|/gcd(q, 2), which divides e.  And by definition q
-    divides 2(v, e_i) for every basis vector e_i, so each single pairing is
-    a necessary test.  One walk over the (2*box+1)**(rank-2) prefixes scans
-    a precomputed table of the (2*box+1)**2 tails (see Lattice._tail_table),
-    where each norm and the pairings 2(v, e_{r-2}), 2(v, e_{r-1}) cost O(1).
-    Only where q | 2e (no factorisation of 2e is needed) and q divides both
-    tail pairings do the primitivity and the full root test run, on the
-    Gram rows directly.  A box of more than DEFAULT_EFFORT_LIMIT prefixes
-    raises EffortLimitExceeded before the walk.
+    in L^#/L has order |q|/gcd(q, 2), which divides e.  As e divides the
+    group order |det|, q divides 2|det| too, and that one Bareiss
+    determinant serves as the pre-filter: no Hermite pass runs.  And by
+    definition q divides 2(v, e_i) for every basis vector e_i, so each
+    single pairing is a necessary test; for q = -1 or -2 every one holds,
+    so every primitive vector of norm -1 or -2 is a root.  One walk over
+    the (2*box+1)**(rank-2) prefixes scans a precomputed table of the
+    (2*box+1)**2 tails (see Lattice._tail_table), where each norm and the
+    pairings 2(v, e_{r-2}), 2(v, e_{r-1}) cost O(1).  A tail of norm -1 or
+    -2 goes straight to the primitivity test.  Below -2, only where q
+    divides 2|det| (no factorisation is needed) and both tail pairings do
+    the primitivity test and the root test run, the latter on the r-2
+    prefix Gram rows only, as the tail pairings are already tested.  A box
+    of more than DEFAULT_EFFORT_LIMIT prefixes raises EffortLimitExceeded
+    before the walk.
     """
     lat.check_prefix_budget(box)
     g = lat.gram
     if lat.rank == 1:
         return ((1,),) if g[0][0] < 0 else ()
-    two_e = 2 * lat.discriminant().exponent
+    two_det = 2 * abs(lat.determinant())
     full, half = lat._tail_table(box)
+    prefix_rows = g[:-2]
     found = []
 
     def scan_tail(coords, val, p1, p2, leading_zero):
         b1, b2 = 2 * p1, 2 * p2
         for x, t, q2, d1, d2 in half if leading_zero else full:
             q = val + q2 + b1 * x + b2 * t
-            if (q < 0 and two_e % q == 0 and (b2 + d2) % q == 0
-                    and (b1 + d1) % q == 0):
+            if q < 0 and (q >= -2 or (two_det % q == 0 and (b2 + d2) % q == 0
+                                      and (b1 + d1) % q == 0)):
                 coords[-2] = x
                 coords[-1] = t
-                if (gcd(*coords) == 1
-                        and 2 * gcd(*[sum(map(mul, row, coords)) for row in g]) % q == 0):
+                if gcd(*coords) == 1 and (q >= -2 or 2 * gcd(*[
+                        sum(map(mul, row, coords)) for row in prefix_rows]) % q == 0):
                     found.append(tuple(coords))
 
     lat._walk_prefixes(box, scan_tail)

@@ -126,6 +126,16 @@ class TestPairValidation:
         with pytest.raises(InvalidInputError, match="expected integer entries"):
             find_prime(pairs)
 
+    @pytest.mark.parametrize("congruences", [
+        5, None, [(1, 2, 3)], [(1,)], [(7, 8), ()],
+    ], ids=["int", "None", "triple", "single", "empty_pair"])
+    def test_not_pairs(self, congruences):
+        text = re.escape(f"expected (residue, modulus) pairs, got {congruences!r}")
+        with pytest.raises(InvalidInputError, match=text):
+            crt(congruences)
+        with pytest.raises(InvalidInputError, match=text):
+            find_prime(congruences)
+
     def test_bad_minimum(self):
         with pytest.raises(InvalidInputError, match="minimum must be >= 1, got 0"):
             find_prime([(7, 8)], minimum=0)

@@ -1,5 +1,6 @@
 """The benchmark's recorded answers hold: a smoke run of each workload on its
-reference seed passes every oracle check and matches the recorded digest.
+reference seed passes every oracle check and matches the recorded digest,
+and so does the full first pass of binary_queries and of lattice_algebra.
 
 The run works in a copy of perfbench next to a link to this tree's src, so
 that its output directory is made under tmp_path, not under perfbench.
@@ -41,12 +42,15 @@ def test_smoke_run_matches_the_recorded_digest(bench_root, workload):
     assert result["failed"] == 0
 
 
-def test_full_binary_pass_matches_the_recorded_digest(bench_root):
-    # the smoke pass runs one op of each kind; the full first pass repeats
-    # forms, so its answers come through the cycle and mu memos
+@pytest.mark.parametrize("workload", ["binary_queries", "lattice_algebra"])
+def test_full_first_pass_matches_the_recorded_digest(bench_root, workload):
+    # the smoke pass runs one op of each kind; the full first pass of
+    # binary_queries repeats forms, so its answers come through the cycle
+    # and mu memos, and that of lattice_algebra holds every rank-6 root
+    # search
     proc = subprocess.run(
         [sys.executable, str(bench_root / "perfbench" / "run.py"),
-         "--workload", "binary_queries", "--seed", "1", "--seconds", "0",
+         "--workload", workload, "--seed", "1", "--seconds", "0",
          "--trace", "0"],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))

@@ -127,6 +127,21 @@ class TestAvoidRoots:
         with pytest.raises(InvalidInputError):
             c.avoid_roots(1, 0)
 
+    @pytest.mark.parametrize("n, b, limit", [
+        (10**40, 1, DEFAULT_EFFORT_LIMIT), (3, 1, 2)], ids=["huge_n", "small_limit"])
+    def test_more_primes_than_the_effort_limit_are_refused(self, monkeypatch,
+                                                          n, b, limit):
+        # each k costs at least one candidate, so n > effort_limit is
+        # refused before any prime search
+        def refuse(*args, **kwargs):
+            raise AssertionError("a prime search ran")
+
+        monkeypatch.setattr(c, "nonresidue_prime", refuse)
+        with pytest.raises(EffortLimitExceeded, match=re.escape(
+                f"{n} nonresidue primes need at least {n} candidates, more "
+                f"than the effort limit {limit}")):
+            c.avoid_roots(n, b, effort_limit=limit)
+
 
 class TestBruteForceCheck:
     def test_half_box_matches_the_full_box_scan(self):
@@ -229,6 +244,11 @@ class TestMjFamily:
         assert entry.a > 1
         assert entry.mu < -cert.d
         assert c.validate_mj(cert) == []
+
+    def test_primes_strategy_threshold_past_the_effort_limit_is_refused(self):
+        # threshold 4 needs four primes per a, each at least one candidate
+        with pytest.raises(EffortLimitExceeded, match="more than the effort limit 3"):
+            c.mj_family(U3, H, 1, 1, strategy=c.STRATEGY_PRIMES, effort_limit=3)
 
     def test_primes_strategy_builds_no_avoid_roots_certificate(self, monkeypatch):
         def refuse(*args, **kwargs):

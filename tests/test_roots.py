@@ -146,17 +146,23 @@ def _unimodular_gram(rng, r):
     return Lattice(tuple(map(tuple, g)))
 
 
-def _rich_gram(rng, r):
-    """A dense Gram matrix, entries in [-4, 4], whose 2e has >= 12 divisors."""
+def _random_gram(rng, r):
+    """A symmetric nonsingular Gram matrix with entries in [-4, 4]."""
     while True:
         g = [[0] * r for _ in range(r)]
         for i in range(r):
             for j in range(i, r):
                 g[i][j] = g[j][i] = rng.randint(-4, 4)
         try:
-            lat = Lattice(tuple(map(tuple, g)))
+            return Lattice(tuple(map(tuple, g)))
         except DegenerateLatticeError:
             continue
+
+
+def _rich_gram(rng, r):
+    """A dense Gram matrix, entries in [-4, 4], whose 2e has >= 12 divisors."""
+    while True:
+        lat = _random_gram(rng, r)
         if _divisor_count(2 * _exponent(lat)) >= 12:
             return lat
 
@@ -177,9 +183,26 @@ def _dense_cases():
 DENSE_CASES = _dense_cases()
 
 
+def _workload_cases():
+    """Random Gram matrices of rank 3-6, boxed as the benchmark's root
+    searches are: 3 up to rank 4, 2 above."""
+    rng = random.Random(64)
+    cases = []
+    for k in range(12):
+        r = 3 + k % 4
+        box = 3 if r <= 4 else 2
+        cases.append(pytest.param(_random_gram(rng, r), box,
+                                  id=f"workload{k}-rank{r}-box{box}"))
+    return cases
+
+
+WORKLOAD_CASES = _workload_cases()
+
+
 class TestFusedWalk:
-    """find_roots_in_box tests only vectors whose norm divides 2e; the brute
-    force in conftest tests every vector of the box."""
+    """find_roots_in_box tests primitivity alone at norms -1 and -2, and
+    elsewhere only vectors whose norm divides 2|det|; the brute force in
+    conftest tests every vector of the box."""
 
     def test_the_cases_cover_both_kinds(self):
         lats = [case.values[0] for case in DENSE_CASES]
@@ -190,7 +213,7 @@ class TestFusedWalk:
         assert all(any(x for i, row in enumerate(lat.gram)
                        for j, x in enumerate(row) if i != j) for lat in lats)
 
-    @pytest.mark.parametrize("lat,box", DENSE_CASES)
+    @pytest.mark.parametrize("lat,box", DENSE_CASES + WORKLOAD_CASES)
     def test_matches_brute_force(self, lat, box):
         want = tuple(sorted(brute_roots(lat, box)))
         assert rt.find_roots_in_box(lat, box) == want
@@ -305,6 +328,21 @@ class TestReflectivity:
                     for g in (((3, 4), (4, -7)), ((1, 0), (0, -8)),
                               ((0, 1), (1, 0)), ((2, 1), (1, 3)))}
         assert statuses == {rt.REFLECTIVE, rt.NON_REFLECTIVE}
+
+    def test_rank3_plus_runs_no_hermite_pass(self, monkeypatch):
+        lats = [dsum(U, diag(-6)), Lattice(((2, 1, 0), (1, -2, 3), (0, 3, -4))),
+                dsum(U, diag(-2, 10)), dsum(U, U, diag(-12))]
+        want = [tuple(sorted(brute_roots(lat, 2))) for lat in lats]
+
+        def refuse(*args):
+            raise AssertionError("a Hermite pass ran at rank >= 3")
+
+        monkeypatch.setattr(intlinalg, "hermite_row_basis", refuse)
+        assert [rt.find_roots_in_box(lat, 2) for lat in lats] == want
+        verdicts = [rt.reflectivity_indicator(lat, 2) for lat in lats]
+        assert [v.status for v in verdicts] == [rt.UNKNOWN] * len(lats)
+        assert [v.evidence.roots for v in verdicts] == want
+        assert all(want)
 
     @pytest.mark.parametrize("lat", [
         Lattice(((-2,),)), U, Lattice(((1, 0), (0, -8))),
