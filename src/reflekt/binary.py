@@ -17,18 +17,24 @@ principal form (1, 2 a0, a0^2 - d), which is its own mirror image
 witness's, is taken by `_step_product`, in chunks and a balanced tree.
 
 Each public call reduces f once, and each question has one memo, a
-`functools.lru_cache` of the 64 most recently used reduced start forms.
+`functools.lru_cache` of the 64 most recently used keys, each a reduced
+start form or a checked int: `_cycle`, `_mu_walk` and `_root_classes` are
+keyed by start form, `_pell_unit` by d and `_twice_e_divisors` by e.
 `represents`, `representation_witness` and `binary_roots` walk each cycle
 once and keep it as a record, by `_cycle`: the position of every form in
 rho order, the set of leading coefficients, and the t of every rho step,
 whose matrix is ((0, -1), (1, t)).  Both cycle tests are then lookups, and
 a witness multiplies the stored steps from f's reduced form to its class's
-instead of walking the cycle again.  mu is the largest negative leading
-coefficient of the cycle (the proof is in `mu`).  `_mu_walk` streams the
-cycle in O(1) memory and keeps the answer; it stops at a lead of -1, and
-on the mirror-symmetric cycle of an ambiguous class after half of it.  mu
-never builds or reads a record, and a certificate validated after it is
-built walks once.
+instead of walking the cycle again.  `binary_roots` reads even those
+products from `_root_classes`, once per start form, and the divisors of 2e
+from `_twice_e_divisors`; each call still checks its own witnesses.  The
+Pell unit of d is computed once while `_pell_unit` holds it, and each
+`pell_fundamental` call checks d and its PellSolution.  mu is the
+largest negative leading coefficient of the cycle (the proof is in `mu`).
+`_mu_walk` streams the cycle in O(1) memory and keeps the answer; it stops
+at a lead of -1, and on the mirror-symmetric cycle of an ambiguous class
+after half of it.  mu never builds or reads a record, and a certificate
+validated after it is built walks once.
 
 The square roots come from the factorisation of 4|m|: Tonelli-Shanks
 modulo each odd prime, a Hensel lift to each prime power, and CRT.  That
@@ -63,6 +69,12 @@ _REDUCE_CAP = 100_000
 _CYCLE_CAP = 10_000_000
 # rho steps multiplied sequentially at the leaves of `_step_product`'s tree
 _STEP_CHUNK = 64
+# Every memo (see the module docstring) keeps the values of the 64 most
+# recently used keys.  Sized for repeated queries on a few forms at a time:
+# every record can hold a long cycle, so a larger cache mostly costs memory.
+# A certificate validated right after it is built asks for the mu of the
+# same form twice, and the second call walks nothing.
+_RECORD_SLOTS = 64
 
 
 def is_square(n: int) -> bool:
@@ -106,12 +118,16 @@ class BinaryForm:
 
     def gram_lattice(self) -> lattice_mod.Lattice:
         """The corresponding integral lattice; requires an even middle coefficient."""
+        h = self._half_b()
+        return lattice_mod.Lattice(((self.a, h), (h, self.c)))
+
+    def _half_b(self) -> int:
+        """The off-diagonal Gram entry b/2; an odd b is InvalidInputError."""
         if self.b % 2 != 0:
             raise InvalidInputError(
                 f"middle coefficient {self.b} is odd; the form is not the "
                 "quadratic form of an integral lattice")
-        h = self.b // 2
-        return lattice_mod.Lattice(((self.a, h), (h, self.c)))
+        return self.b // 2
 
 
 def is_anisotropic(f: BinaryForm) -> bool:
@@ -202,33 +218,27 @@ def pell_fundamental(d: int) -> PellSolution:
     S_(2 a0).  A's first column (u, v) is the second column of the product
     before S_(2 a0), and x = |u + a0 v|, y = |v|: only the first half of the
     cycle is multiplied, by `_step_product`.
+
+    d is checked to be an int first; `_pell_unit` then keeps (x, y) for the
+    64 most recently used d, and each call builds and checks its own
+    PellSolution.
     """
+    (d,) = int_vector((d,))
+    x, y = _pell_unit(d)
+    return PellSolution(x=x, y=y, d=d)
+
+
+@lru_cache(maxsize=_RECORD_SLOTS)
+def _pell_unit(d):
+    """(x, y) of `pell_fundamental` for the int d."""
     a0, ts, _ = _principal_half(d)
     (p, q), (r, s) = h = _step_product(ts[:-1])
     (_, u), (_, v) = _mat2_mul(_mat2_mul(h, ((0, -1), (1, ts[-1]))),
                                ((p, -r), (-q, s)))
-    return PellSolution(x=abs(u + a0 * v), y=abs(v), d=d)
+    return abs(u + a0 * v), abs(v)
 
 
 # -- reduction of indefinite forms (non-square discriminant) ----------------
-
-def _is_reduced(a: int, b: int, c: int, sq: int) -> bool:
-    # |sqrt(D) - 2|a|| < b < sqrt(D), in integer-exact terms
-    return 0 < b <= sq and sq + 1 - b <= 2 * abs(a) <= sq + b
-
-
-def _rho(a, b, c, disc, sq):
-    """One reduction/cycle step: the neighbor form and the t of its SL2
-    matrix ((0, -1), (1, t))."""
-    ac = abs(c)
-    if ac > sq:
-        r = (-b) % (2 * ac)
-        if r > ac:
-            r -= 2 * ac
-    else:
-        r = sq - ((sq + b) % (2 * ac))
-    return (c, r, (r * r - disc) // (4 * c)), (b + r) // (2 * c)
-
 
 def _mat2_mul(m1, m2):
     return ((m1[0][0] * m2[0][0] + m1[0][1] * m2[1][0],
@@ -261,13 +271,25 @@ def _reduce_form(form, disc, sq):
 
     M is the product of the rho step matrices, accumulated by columns:
     right-multiplying by ((0, -1), (1, t)) maps (c0, c1) to (c1, t c1 - c0).
+    The rho step leads from (a, b, c) to its neighbour (c, r, (r^2 - D)/4c)
+    with r = -b mod 2|c|, taken in (-|c|, |c|] while |c| > isqrt(D) and in
+    (isqrt(D) - 2|c|, isqrt(D)] after, and t = (b + r)/2c.
     """
     m00, m01, m10, m11 = 1, 0, 0, 1
     a, b, c = form
     for _ in range(_REDUCE_CAP):
-        if _is_reduced(a, b, c, sq):
+        # |sqrt(D) - 2|a|| < b < sqrt(D), in integer-exact terms
+        if 0 < b <= sq and sq + 1 - b <= 2 * abs(a) <= sq + b:
             return (a, b, c), ((m00, m01), (m10, m11))
-        (a, b, c), t = _rho(a, b, c, disc, sq)
+        ac = abs(c)
+        if ac > sq:
+            r = (-b) % (2 * ac)
+            if r > ac:
+                r -= 2 * ac
+        else:
+            r = sq - (sq + b) % (2 * ac)
+        t = (b + r) // (2 * c)
+        a, b, c = c, r, (r * r - disc) // (4 * c)
         m00, m01 = m01, t * m01 - m00
         m10, m11 = m11, t * m11 - m10
     raise EffortLimitExceeded(
@@ -279,10 +301,10 @@ def _walk(start, disc, sq):
     rho order from start, with the t of the step that leaves it.  A cycle
     longer than _CYCLE_CAP forms raises EffortLimitExceeded.
 
-    The step is `_rho`'s second branch, inlined: every form of the cycle is
-    reduced, and a reduced form has |c| <= isqrt(D), since 4|ac| = D - b^2
-    < (sq + 1 - b)(sq + 1 + b) and 2|a| >= sq + 1 - b give
-    2|c| < sq + 1 + b <= 2 sq + 1."""
+    The step is `_reduce_form`'s rho step in its branch for |c| <= isqrt(D):
+    every form of the cycle is reduced, and a reduced form has
+    |c| <= isqrt(D), since 4|ac| = D - b^2 < (sq + 1 - b)(sq + 1 + b) and
+    2|a| >= sq + 1 - b give 2|c| < sq + 1 + b <= 2 sq + 1."""
     cur = start
     _, b, c = start
     for _ in range(_CYCLE_CAP):
@@ -293,14 +315,6 @@ def _walk(start, disc, sq):
             return
     raise EffortLimitExceeded(
         f"cycle through {start} is longer than {_CYCLE_CAP} forms")
-
-
-# `_cycle` keeps the records of the 64 most recently used start forms, and
-# `_mu_walk` their mu values.  Sized for repeated queries on a few forms at a
-# time: every record can hold a long cycle, so a larger cache mostly costs
-# memory.  A certificate validated right after it is built asks for the mu
-# of the same form twice, and the second call walks nothing.
-_RECORD_SLOTS = 64
 
 
 @lru_cache(maxsize=_RECORD_SLOTS)
@@ -523,7 +537,7 @@ def representation_witness(f: BinaryForm, n: int):
     for t, m in _square_parts(n):
         cls = _first_class(red, m)
         if cls is not None:
-            x, y = _class_witness(f, red, m, *cls)
+            x, y = _class_witness(f, red.p, m, _class_matrix(red.cycle, *cls))
             return (t * x, t * y)
     return None
 
@@ -660,40 +674,39 @@ def _canonical_witness(auto, v):
     """
     if auto is None:
         return max(v, (-v[0], -v[1]))
-    minv = _mat2_inv_unimodular(auto)
-
-    def key(w):
-        return (abs(w[0]) + abs(w[1]), abs(w[0]), abs(w[1]))
-
-    cur = v
-    for step in (auto, minv):
+    steps = (auto, _mat2_inv_unimodular(auto))
+    x, y = v
+    key = (abs(x) + abs(y), abs(x), abs(y))
+    for (p, q), (r, s) in steps:
         while True:
-            nxt = _apply(step, cur)
-            if key(nxt) < key(cur):
-                cur = nxt
-            else:
+            nx, ny = p * x + q * y, r * x + s * y
+            nkey = (abs(nx) + abs(ny), abs(nx), abs(ny))
+            if nkey >= key:
                 break
-    cands = {cur}
-    for step in (auto, minv):
-        w = cur
+            x, y, key = nx, ny, nkey
+    cands = [(x, y)]
+    for (p, q), (r, s) in steps:
+        wx, wy = x, y
         for _ in range(2):
-            w = _apply(step, w)
-            if key(w) == key(cur):
-                cands.add(w)
-    cands |= {(-x, -y) for x, y in cands}
-    best = max(w for w in cands if key(w) == key(cur))
-    return best
+            wx, wy = p * wx + q * wy, r * wx + s * wy
+            if (abs(wx) + abs(wy), abs(wx), abs(wy)) == key:
+                cands.append((wx, wy))
+    return max(max(cands), max((-wx, -wy) for wx, wy in cands))
 
 
-def _class_witness(f: BinaryForm, red: _Reduction, m: int, g_red, q):
-    """The primitive solution of f = m of the class (m, b, c) with
-    (m, b, c)∘q = g_red in f's cycle: the first column of p r q^-1, where
-    f∘p is f's reduced form and r the product of the stored steps from it
-    (index 0) to g_red, by `_step_product`."""
-    pos, _, steps = red.cycle
-    r = _step_product(steps[:pos[g_red]])
-    tot = _mat2_mul(_mat2_mul(red.p, r), _mat2_inv_unimodular(q))
-    v = (tot[0][0], tot[1][0])
+def _class_matrix(cycle, g_red, q):
+    """r q^-1 for the class (m, b, c) with (m, b, c)∘q = g_red in the cycle
+    record: r is the product of the stored steps from the start (index 0)
+    to g_red, by `_step_product`.  For f∘p = start, the first column of
+    p r q^-1 is the class's primitive solution of f = m."""
+    pos, _, steps = cycle
+    return _mat2_mul(_step_product(steps[:pos[g_red]]), _mat2_inv_unimodular(q))
+
+
+def _class_witness(f: BinaryForm, p, m: int, w):
+    """The first column of p w, for f∘p = start and a `_class_matrix` w of
+    start's cycle, checked to be a primitive solution of f = m."""
+    v = _apply(p, (w[0][0], w[1][0]))
     if f.value(*v) != m or gcd(v[0], v[1]) != 1:
         raise InternalCheckError(
             f"transform produced a bad witness {v} for {m}")
@@ -705,6 +718,32 @@ def _gram_exponent(a: int, h: int, c: int) -> int:
     ((a, h), (h, c)): its invariant factors are g = gcd(a, h, c), the gcd
     of the 1x1 minors, and |ac - h^2| / g."""
     return abs(a * c - h * h) // gcd(a, h, c)
+
+
+@lru_cache(maxsize=_RECORD_SLOTS)
+def _twice_e_divisors(e: int):
+    """divisors(2 e): the candidate root norms, up to sign, of a lattice
+    whose discriminant group has exponent e."""
+    return divisors(2 * e)
+
+
+@lru_cache(maxsize=_RECORD_SLOTS)
+def _root_classes(start):
+    """The root classes of the forms of even b whose reduced form is start:
+    (m, w) for each norm m that has one, in decreasing m, where w is the
+    `_class_matrix` of the first class that `_first_class` finds among
+    b in {0, |m|}.  The norms tried are -d for d in `_twice_e_divisors(e)`,
+    and e = (D/4) / content is fixed by start."""
+    a, b, c = start
+    disc = b * b - 4 * a * c
+    red = _Reduction(disc, isqrt(disc), ((1, 0), (0, 1)), _cycle(start))
+    out = []
+    for d in _twice_e_divisors(_gram_exponent(a, b // 2, c)):
+        cls = _first_class(red, -d, (r for r in (0, d)
+                                     if (r * r - disc) % (4 * d) == 0))
+        if cls is not None:
+            out.append((-d, _class_matrix(red.cycle, *cls)))
+    return tuple(out)
 
 
 def binary_roots(f: BinaryForm):
@@ -723,29 +762,31 @@ def binary_roots(f: BinaryForm):
     can carry a root; each takes one congruence test, with no
     factorisation.  `_first_class` returns the first of them, in increasing
     b, whose form reduces into f's cycle, which is the first class that
-    passes the root test.  The automorph that makes the witnesses canonical
-    is computed once, at the first root.
+    passes the root test.
+
+    The class search depends on f's cycle alone, so `_root_classes` keeps,
+    for the 64 most recently used reduced start forms, the matrix of each
+    root class from the start, and the divisors of 2e come from
+    `_twice_e_divisors`.  Each call reduces f once, to start by p, and for
+    each root class checks that the first column v of p w solves f = m
+    primitively, re-checks the root test on the pairings of v, and makes v
+    canonical with the automorph, computed once, at the first root.
     """
-    lat = f.gram_lattice()
-    exponent = _gram_exponent(f.a, f.b // 2, f.c)
+    a, h, c, disc = f.a, f._half_b(), f.c, f.disc
     out = []
-    if is_square(f.disc):
-        for d in divisors(2 * exponent):
+    if is_square(disc):
+        lat = f.gram_lattice()
+        for d in _twice_e_divisors(_gram_exponent(a, h, c)):
             v = next((v for v in sorted(_square_disc_solutions(f, -d))
                       if gcd(*v) == 1 and 2 * lat.divisibility(v) % d == 0), None)
             if v is not None:
                 out.append((-d, _canonical_witness(None, v)))
         return tuple(out)
-    red = _reduction(f)
+    start, p = _reduce_form((a, f.b, c), disc, isqrt(disc))
     auto = None
-    for d in divisors(2 * exponent):
-        m = -d
-        cls = _first_class(red, m, (b for b in (0, d)
-                                    if (b * b - red.disc) % (4 * d) == 0))
-        if cls is None:
-            continue
-        v = _class_witness(f, red, m, *cls)
-        if 2 * lat.divisibility(v) % m:
+    for m, w in _root_classes(start):
+        v = _class_witness(f, p, m, w)
+        if 2 * gcd(a * v[0] + h * v[1], h * v[0] + c * v[1]) % m:
             raise InternalCheckError(
                 f"the witness {v} of a root class of norm {m} is not a root")
         if auto is None:

@@ -594,7 +594,7 @@ def nv_complements(lat: Lattice, d: int, box: int) -> tuple[NvComplementEntry, .
         gram = comp.gram_matrix()
         comp_lat = Lattice(gram)
         disc = comp_lat.discriminant()
-        fp = (comp.rank, intlinalg.det(gram), disc.invariant_factors,
+        fp = (comp.rank, comp_lat.determinant(), disc.invariant_factors,
               comp_lat.signature())
         if fp in fingerprints:
             cls = fingerprints.index(fp)

@@ -43,8 +43,12 @@ class Lattice:
                 if g[i][j] != g[j][i]:
                     raise InvalidInputError(
                         f"gram matrix not symmetric at ({i},{j})")
-        if intlinalg.det(g) == 0:
+        det = intlinalg.det(g)
+        if det == 0:
             raise DegenerateLatticeError("gram matrix is singular")
+        # kept outside the dataclass fields, so equality, hashing and repr
+        # still read the Gram matrix alone
+        object.__setattr__(self, "_det", det)
 
     # -- constructors ------------------------------------------------------
 
@@ -93,7 +97,8 @@ class Lattice:
         return self.evaluate(v, v)
 
     def determinant(self) -> int:
-        return intlinalg.det(self.gram)
+        """det(gram), computed once, by the check for singularity."""
+        return self._det
 
     def signature(self) -> tuple[int, int]:
         """(positive, negative) inertia counts, by fraction-free integer

@@ -17,7 +17,7 @@ from operator import mul
 from typing import Optional
 
 from . import binary
-from .arith import divisors, int_vector
+from .arith import int_vector
 from .errors import InternalCheckError, InvalidInputError, NotARootError
 from .lattice import Lattice
 
@@ -59,11 +59,13 @@ def reflect(lat: Lattice, v, u):
 def root_norm_candidates(lat: Lattice) -> tuple[int, ...]:
     """Negative divisors of 2 e(lattice); a superset of achievable root norms
     by the lemma in `find_roots_in_box` (q divides 2e).  At rank 2, e has a
-    closed form (`binary._gram_exponent`), so no Hermite pass runs."""
+    closed form (`binary._gram_exponent`), so no Hermite pass runs.  The
+    divisors come from `binary._twice_e_divisors`, which `binary_roots`
+    reads too, so a rank-2 verdict factorises 2e once."""
     g = lat.gram
     e = (binary._gram_exponent(g[0][0], g[0][1], g[1][1]) if lat.rank == 2
          else lat.discriminant().exponent)
-    return tuple(-d for d in divisors(2 * e))
+    return tuple(-d for d in binary._twice_e_divisors(e))
 
 
 def find_roots_in_box(lat: Lattice, box: int) -> tuple[tuple[int, ...], ...]:

@@ -17,15 +17,22 @@ from reflekt.lattice import Lattice
 U = Lattice.hyperbolic_plane()
 
 
-@pytest.fixture(autouse=True)
-def fresh_cycle_memos():
-    """Every test walks its own cycles: neither a cycle record nor a mu
-    value that an earlier test left is read, so a cap a test sets is met.
-    This is the one place tests reset the memos between tests."""
+def binary_memos():
+    """Every memo of reflekt.binary: each object in the module that has a
+    cache_clear."""
     from reflekt import binary
 
-    binary._cycle.cache_clear()
-    binary._mu_walk.cache_clear()
+    return [obj for obj in vars(binary).values() if hasattr(obj, "cache_clear")]
+
+
+@pytest.fixture(autouse=True)
+def fresh_cycle_memos():
+    """Every test walks its own cycles: no cycle record, mu value, root
+    class, Pell unit or divisor list that an earlier test left is read, so a
+    cap a test sets is met.  This is the one place tests reset the memos
+    between tests."""
+    for memo in binary_memos():
+        memo.cache_clear()
 
 
 def diag(*entries):
@@ -416,21 +423,40 @@ def pell_sequential_oracle(d):
     return p, q
 
 
+def _is_reduced(a: int, b: int, c: int, sq: int) -> bool:
+    # |sqrt(D) - 2|a|| < b < sqrt(D), in integer-exact terms
+    return 0 < b <= sq and sq + 1 - b <= 2 * abs(a) <= sq + b
+
+
+def _rho(a, b, c, disc, sq):
+    """One reduction/cycle step: the neighbor form and the t of its SL2
+    matrix ((0, -1), (1, t))."""
+    ac = abs(c)
+    if ac > sq:
+        r = (-b) % (2 * ac)
+        if r > ac:
+            r -= 2 * ac
+    else:
+        r = sq - ((sq + b) % (2 * ac))
+    return (c, r, (r * r - disc) // (4 * c)), (b + r) // (2 * c)
+
+
 def cycle_oracle(f):
     """The cycle of reduced forms through f's reduced form, in rho order.
 
-    Reduction and the rho step are the library's; what this checks is the
-    use made of the cycle (the order the cycle record's positions follow).
+    Reduction is the library's, and the rho step the oracles' own `_rho`;
+    what this checks is the use made of the cycle (the order the cycle
+    record's positions follow).
     """
     from reflekt import binary as b
 
     disc, sq = f.disc, isqrt(f.disc)
     start, _ = b._reduce_form((f.a, f.b, f.c), disc, sq)
     out = [start]
-    cur, _ = b._rho(*start, disc, sq)
+    cur, _ = _rho(*start, disc, sq)
     while cur != start:
         out.append(cur)
-        cur, _ = b._rho(*cur, disc, sq)
+        cur, _ = _rho(*cur, disc, sq)
     return out
 
 
@@ -471,11 +497,9 @@ def _mat2_mul_oracle(m1, m2):
 def _reduce_oracle(form, disc, sq):
     """(reduced, M) with form∘M = reduced, multiplying the full rho step
     matrices ((0, -1), (1, t)) one by one."""
-    from reflekt import binary as b
-
     m = ((1, 0), (0, 1))
-    while not b._is_reduced(*form, sq):
-        form, t = b._rho(*form, disc, sq)
+    while not _is_reduced(*form, sq):
+        form, t = _rho(*form, disc, sq)
         m = _mat2_mul_oracle(m, ((0, -1), (1, t)))
     return form, m
 
@@ -487,8 +511,6 @@ def class_walk_oracle(f, m):
     before its cycle record stored the rho steps: step from f's reduced form
     to that class's with `_rho`, multiplying the step matrices, and map
     (1, 0) back through the reducing matrices."""
-    from reflekt import binary as b
-
     disc, sq = f.disc, isqrt(f.disc)
     f_red, p = _reduce_oracle((f.a, f.b, f.c), disc, sq)
     cycle = cycle_oracle(f)
@@ -499,7 +521,7 @@ def class_walk_oracle(f, m):
             continue
         r, cur = ((1, 0), (0, 1)), f_red
         while cur != g_red:
-            cur, t = b._rho(*cur, disc, sq)
+            cur, t = _rho(*cur, disc, sq)
             r = _mat2_mul_oracle(r, ((0, -1), (1, t)))
         det = q[0][0] * q[1][1] - q[0][1] * q[1][0]
         q_inv = ((det * q[1][1], -det * q[0][1]), (-det * q[1][0], det * q[0][0]))
@@ -519,13 +541,46 @@ def gram_divisibility_oracle(a, h, c, v):
     return gcd(a * v[0] + h * v[1], h * v[0] + c * v[1])
 
 
+def canonical_witness_oracle(auto, v):
+    """`_canonical_witness` by the walk it made before it applied the
+    automorph inline: step by auto, then by its inverse, while the key
+    (|x| + |y|, |x|, |y|) falls, and take the largest of the vectors up to
+    two steps either way that share the least key, and their negatives."""
+    if auto is None:
+        return max(v, (-v[0], -v[1]))
+    (p, q), (r, s) = auto
+    det = p * s - q * r
+    assert abs(det) == 1, auto
+    inverse = ((det * s, -det * q), (-det * r, det * p))
+
+    def key(w):
+        return (abs(w[0]) + abs(w[1]), abs(w[0]), abs(w[1]))
+
+    def apply(m, w):
+        return tuple(m[i][0] * w[0] + m[i][1] * w[1] for i in range(2))
+
+    cur = v
+    for step in (auto, inverse):
+        while key(apply(step, cur)) < key(cur):
+            cur = apply(step, cur)
+    cands = {cur}
+    for step in (auto, inverse):
+        w = cur
+        for _ in range(2):
+            w = apply(step, w)
+            if key(w) == key(cur):
+                cands.add(w)
+    return max(cands | {(-x, -y) for x, y in cands})
+
+
 def binary_roots_oracle(f):
     """binary_roots by the algorithm the library used before it tested only
     the classes b = 0 mod |m|: for every divisor d of 2e (by a scan), the
     witness of every class from `witness_walk_oracle` over all square roots
     (the sorted primitive solutions for a square D), the divisibility test on
-    each, and the first class that passes, made canonical by the library's
-    `_canonical_witness`.  e comes from the Hermite route, Lattice.discriminant."""
+    each, and the first class that passes, made canonical by
+    `canonical_witness_oracle`.  e comes from the Hermite route,
+    Lattice.discriminant."""
     from reflekt import binary as b
 
     a, h, c = f.a, f.b // 2, f.c
@@ -543,6 +598,6 @@ def binary_roots_oracle(f):
             cands = witness_walk_oracle(f, -d)
         for v in cands:
             if 2 * gram_divisibility_oracle(a, h, c, v) % d == 0:
-                out.append((-d, b._canonical_witness(auto, v)))
+                out.append((-d, canonical_witness_oracle(auto, v)))
                 break
     return tuple(out)

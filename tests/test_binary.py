@@ -6,13 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (binary_roots_oracle, brute_values, cf_oracle,
-                      class_walk_oracle, cycle_oracle, gram_divisibility_oracle,
-                      mu_oracle, pell_oracle, pell_sequential_oracle,
-                      primitive_oracle, representation_oracle_values,
-                      sqrt_classes_oracle, square_parts_oracle,
-                      witness_walk_oracle)
+from conftest import (_is_reduced, _reduce_oracle, _rho, binary_memos,
+                      binary_roots_oracle, brute_values,
+                      canonical_witness_oracle, cf_oracle, class_walk_oracle,
+                      cycle_oracle, gram_divisibility_oracle, mu_oracle,
+                      pell_oracle, pell_sequential_oracle, primitive_oracle,
+                      representation_oracle_values, sqrt_classes_oracle,
+                      square_parts_oracle, witness_walk_oracle)
 from reflekt import binary as b
+from reflekt import roots
 from reflekt.arith import divisors, factorize, is_prime
 from reflekt.lattice import Lattice
 from reflekt.errors import (EffortLimitExceeded, InvalidInputError,
@@ -771,9 +773,21 @@ class TestFastPathsMatchOracles:
         assert [pos[g] for g in cycle] == list(range(len(cycle)))
         assert leads == frozenset(g[0] for g in cycle)
         disc, sq = f.disc, isqrt(f.disc)
-        assert steps == tuple(b._rho(*g, disc, sq)[1] for g in cycle)
-        # the walk inlines only the branch of _rho taken when |c| <= sq
+        assert steps == tuple(_rho(*g, disc, sq)[1] for g in cycle)
+        # the walk inlines only the branch of the rho step taken when |c| <= sq
         assert all(abs(g[2]) <= sq for g in cycle)
+
+    @given(indefinite_forms(400))
+    @example((1, 0, -7))
+    @example((1, 3, -1000))
+    @settings(max_examples=300, deadline=None)
+    def test_reduction_matches_the_step_by_step_walk(self, t):
+        # the rho step of _reduce_form, in both its branches, and its
+        # column-wise matrix against full 2x2 products of the step matrices
+        f = b.BinaryForm(*t)
+        if b.is_anisotropic(f):
+            disc, sq = f.disc, isqrt(f.disc)
+            assert b._reduce_form(t, disc, sq) == _reduce_oracle(t, disc, sq)
 
     @given(indefinite_forms(), st.integers(-60, 60).filter(bool))
     @settings(max_examples=300, deadline=None)
@@ -866,7 +880,8 @@ class TestFastPathsMatchOracles:
 
         def first_witness(m):
             cls = b._first_class(red, m)
-            return [] if cls is None else [b._class_witness(f, red, m, *cls)]
+            return [] if cls is None else [
+                b._class_witness(f, red.p, m, b._class_matrix(red.cycle, *cls))]
 
         assert first_witness(n) == witness_walk_oracle(f, n)[:1]
         if t[1] % 2 == 0:
@@ -1048,6 +1063,19 @@ class TestBinaryRoots:
         f = b.BinaryForm(*t)
         assert b.binary_roots(f) == binary_roots_oracle(f), t
 
+    @given(even_middle_forms(), st.integers(-40, 40), st.integers(-40, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_canonical_witness_matches_the_orbit_walk(self, t, x, y):
+        f = b.BinaryForm(*t)
+        if not b.is_anisotropic(f) or gcd(x, y) != 1:
+            return
+        auto = b.fundamental_automorph(f)
+        for v in ((x, y), b._apply(auto, (x, y)), (-y, x)):
+            assert b._canonical_witness(auto, v) == \
+                canonical_witness_oracle(auto, v), (t, v)
+        assert b._canonical_witness(None, (x, y)) == \
+            canonical_witness_oracle(None, (x, y))
+
     def test_root_classes_are_those_with_b_divisible_by_m(self):
         # the lemma of binary_roots: a class (m, b, c) of f's cycle holds a
         # root iff |m| divides b, on every class of every candidate norm
@@ -1108,6 +1136,106 @@ class TestBinaryRoots:
             return
         lat = Lattice(((a, h), (h, c)))
         assert b._gram_exponent(a, h, c) == lat.discriminant().exponent
+
+
+class TestMemos:
+    """The memos of binary_roots, the Pell unit and the divisors of 2e hold
+    what a start form, d or e determines; each call still checks its own
+    answer."""
+
+    MEMOS = {"_cycle", "_mu_walk", "_root_classes", "_pell_unit",
+             "_twice_e_divisors"}
+
+    def test_every_memo_holds_record_slots(self):
+        memos = binary_memos()
+        assert {m.__name__ for m in memos} >= self.MEMOS
+        assert all(m.cache_info().maxsize == b._RECORD_SLOTS for m in memos)
+
+    @pytest.mark.parametrize("phase", ["fill", "check"])
+    def test_autouse_fixture_clears_every_memo(self, request, phase):
+        # "fill" leaves every object of reflekt.binary that has a
+        # cache_clear holding values, and "check" runs next: both start
+        # with all of them empty, so the fixture cleared each one
+        assert "fresh_cycle_memos" in request.fixturenames
+        memos = [obj for obj in vars(b).values() if hasattr(obj, "cache_clear")]
+        assert all(m.cache_info().currsize == 0 for m in memos)
+        if phase == "fill":
+            f = b.BinaryForm.from_d(7)
+            assert b.binary_roots(f) and b.mu(f) == -3
+            assert all(m.cache_info().currsize > 0 for m in memos)
+
+    def test_forms_of_one_start_share_their_root_classes(self):
+        # f and the next form of its reduction reduce to the same start:
+        # one _root_classes entry serves both, and each gets its own
+        # witnesses, mapped back through its own reducing matrix
+        import random
+        rng = random.Random(15)
+        rooted = 0
+        for t in random_even_middle_forms(rng, 200, 30):
+            f = b.BinaryForm(*t)
+            disc, sq = f.disc, isqrt(f.disc)
+            if _is_reduced(*t, sq):
+                continue
+            g = b.BinaryForm(*_rho(*t, disc, sq)[0])
+            assert b._reduce_form(t, disc, sq)[0] == \
+                b._reduce_form((g.a, g.b, g.c), disc, sq)[0]
+            b._root_classes.cache_clear()
+            got = b.binary_roots(f)
+            assert got == binary_roots_oracle(f), t
+            assert b.binary_roots(g) == binary_roots_oracle(g), t
+            info = b._root_classes.cache_info()
+            assert (info.hits, info.misses, info.currsize) == (1, 1, 1), t
+            rooted += bool(got)
+        assert rooted >= 50, rooted
+
+    def test_answers_equal_cold_warm_and_cleared(self):
+        import random
+        rng = random.Random(16)
+        forms = [b.BinaryForm(*t) for t in random_even_middle_forms(rng, 60, 20)]
+        forms += [b.BinaryForm.from_d(d) for d in (7, 94, 161, 421)]
+
+        def answers():
+            return [(b.binary_roots(f), b.pell_fundamental(f.disc // 4),
+                     b.fundamental_automorph(f),
+                     roots.reflectivity_indicator(f.gram_lattice()))
+                    for f in forms]
+
+        cold = answers()
+        assert [a[0] for a in cold] == [binary_roots_oracle(f) for f in forms]
+        misses = b._root_classes.cache_info().misses
+        assert answers() == cold
+        assert b._root_classes.cache_info().misses == misses
+        assert b._pell_unit.cache_info().hits > 0
+        for memo in binary_memos():
+            memo.cache_clear()
+        assert answers() == cold
+
+    def test_cached_pell_unit_still_refuses_non_ints(self):
+        assert b.pell_fundamental(7) == b.PellSolution(x=8, y=3, d=7)
+        for bad in (7.0, "7", [7]):
+            with pytest.raises(InvalidInputError):
+                b.pell_fundamental(bad)
+        assert b._pell_unit.cache_info().currsize == 1
+
+    def test_rank2_verdict_factorises_2e_once(self, monkeypatch):
+        # binary_roots and root_norm_candidates read one divisor list
+        from reflekt import arith
+        calls, factorize = [], arith.factorize
+
+        def counted(n):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(arith, "factorize", counted)
+        statuses = set()
+        for g in (((1, 0), (0, -7)), ((3, 4), (4, -7)), ((2, 1), (1, -3)),
+                  ((1, 0), (0, -94)), ((-5, 7), (7, 12))):
+            for memo in binary_memos():
+                memo.cache_clear()
+            calls.clear()
+            statuses.add(roots.reflectivity_indicator(Lattice(g)).status)
+            assert calls == [2 * b._gram_exponent(g[0][0], g[0][1], g[1][1])], g
+        assert statuses == {roots.REFLECTIVE, roots.NON_REFLECTIVE}
 
 
 class TestBudgets:
@@ -1187,6 +1315,8 @@ class TestBudgets:
         assert [call(d) for call in calls] == [
             cf, b.PellSolution(x=x, y=y, d=d), ((x, d * y), (y, x))]
         monkeypatch.setattr(b, "_CYCLE_CAP", half - 1)
+        # the Pell unit of d is held by its memo: walk the cycle again
+        b._pell_unit.cache_clear()
         for call in calls:
             with pytest.raises(EffortLimitExceeded) as exc:
                 call(d)
