@@ -454,11 +454,8 @@ def _square_parts(n: int):
 def represents(f: BinaryForm, n: int) -> bool:
     """Complete decision: does f(x, y) = n have a nonzero integer solution?"""
     (n,) = int_vector((n,))
-    disc = f.disc
-    if n == 0:
-        return is_square(disc)
-    if is_square(disc):
-        return bool(_square_disc_solutions(f, n))
+    if n == 0 or is_square(f.disc):
+        return representation_witness(f, n) is not None
     red = _reduction(f)
     leads = red.cycle[1]
     return any(m in leads or _first_class(red, m) is not None
@@ -750,8 +747,8 @@ def binary_roots(f: BinaryForm):
     """Complete list of achievable negative root norms with one witness each.
 
     Root norms divide twice the exponent of the discriminant group, which
-    makes the candidate set finite; within a norm, the divisibility
-    condition is invariant under the orthogonal group, so one test per
+    makes the candidate set finite; within a norm, the root condition
+    m | 2 div(v) is invariant under the orthogonal group, so one test per
     representation class decides it.
 
     Lemma: only the classes with b = 0 mod |m| hold roots.  Let M be
@@ -775,10 +772,9 @@ def binary_roots(f: BinaryForm):
     a, h, c, disc = f.a, f._half_b(), f.c, f.disc
     out = []
     if is_square(disc):
-        lat = f.gram_lattice()
         for d in _twice_e_divisors(_gram_exponent(a, h, c)):
-            v = next((v for v in sorted(_square_disc_solutions(f, -d))
-                      if gcd(*v) == 1 and 2 * lat.divisibility(v) % d == 0), None)
+            v = next((v for v in sorted(_square_disc_solutions(f, -d)) if gcd(*v) == 1
+                      and not 2 * gcd(a * v[0] + h * v[1], h * v[0] + c * v[1]) % d), None)
             if v is not None:
                 out.append((-d, _canonical_witness(None, v)))
         return tuple(out)

@@ -33,6 +33,10 @@ def _emit(args, payload: dict, text: str):
         print(text)
 
 
+def _rows_text(rows) -> str:
+    return "\n".join(",".join(str(x) for x in r) for r in rows)
+
+
 def _form_from_args(args) -> binary.BinaryForm:
     if args.d is not None:
         return binary.BinaryForm.from_d(args.d)
@@ -77,7 +81,7 @@ def _cmd_lattice_complement(args):
     comp = sub.orthogonal_complement()
     payload = {"basis": [list(r) for r in comp.basis],
                "gram": [list(r) for r in comp.gram_matrix()]}
-    text = "\n".join(",".join(str(x) for x in r) for r in comp.basis)
+    text = _rows_text(comp.basis)
     _emit(args, payload, text)
 
 
@@ -87,7 +91,7 @@ def _cmd_lattice_saturate(args):
     sat = sub.saturate()
     payload = {"basis": [list(r) for r in sat.basis],
                "index": sub.index_in(sat)}
-    text = "\n".join(",".join(str(x) for x in r) for r in sat.basis)
+    text = _rows_text(sat.basis)
     _emit(args, payload, text)
 
 
@@ -103,7 +107,7 @@ def _cmd_lattice_norm_vectors(args):
     lat = serialize.load_lattice(args.file)
     vs = lat.enumerate_norm_vectors(args.n, args.box)
     payload = {"vectors": [list(v) for v in vs]}
-    text = "\n".join(",".join(str(x) for x in v) for v in vs)
+    text = _rows_text(vs)
     _emit(args, payload, text)
 
 
@@ -143,7 +147,7 @@ def _cmd_binary_roots(args):
 def _cmd_binary_isometry(args):
     m = binary.fundamental_automorph(binary.BinaryForm.from_d(args.d))
     payload = {"matrix": [list(r) for r in m]}
-    text = "\n".join(",".join(str(x) for x in r) for r in m)
+    text = _rows_text(m)
     _emit(args, payload, text)
 
 
@@ -157,7 +161,7 @@ def _cmd_roots_find(args):
     lat = serialize.load_lattice(args.file)
     found = roots.find_roots_in_box(lat, args.box)
     payload = {"roots": [{"vector": list(v), "norm": lat.norm(v)} for v in found]}
-    text = "\n".join(",".join(str(x) for x in v) for v in found) or "(none)"
+    text = _rows_text(found) or "(none)"
     _emit(args, payload, text)
 
 

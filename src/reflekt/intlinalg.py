@@ -3,7 +3,9 @@
 Everything here runs on unbounded Python integers, with Hermite forms as
 the one elimination; no floating point is used anywhere.  Fractions appear
 only as the answers of `solve_left`.  Matrices are immutable tuples of
-tuples of rows; helpers accept any nested sequence and normalize.
+tuples of rows.  The entry points read any nested sequence of exact
+integers through `freeze` and refuse anything else with InvalidInputError;
+`transpose`, `mat_mul`, `mat_vec` and `content` are unchecked helpers.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .arith import gcd_ext, int_vector
-from .errors import InvalidInputError
+from .errors import DependentBasisError, InvalidInputError
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -49,10 +51,10 @@ def mat_vec(m, v):
 
 def det(m) -> int:
     """Determinant of an integer matrix, fraction-free (Bareiss)."""
-    n = len(m)
+    a = [list(row) for row in freeze(m)]
+    n = len(a)
     if n == 0:
         return 1
-    a = [list(row) for row in m]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -92,7 +94,7 @@ def smith_normal_form(mat) -> SmithForm:
     Pivot rule: smallest nonzero absolute value in the remaining block,
     ties broken by position, so the output is deterministic.
     """
-    a = [list(row) for row in mat]
+    a = [list(row) for row in freeze(mat)]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     u = [list(r) for r in identity(rows)]
@@ -197,7 +199,7 @@ def hermite_row_basis(mat) -> IntMatrix:
     rows dropped.  The HNF is the unique canonical basis of the span, so
     any two bases of the same lattice map to identical output.
     """
-    rows = [list(r) for r in mat]
+    rows = list(freeze(mat))
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     top = 0
@@ -234,6 +236,7 @@ def kernel(mat) -> IntMatrix:
     These are the rows of the Hermite form of [mat^T | I] whose mat^T part
     is zero (Cohen, Alg. 2.4.10); their I part is already a Hermite form.
     """
+    mat = freeze(mat)
     m = len(mat)
     cols = len(mat[0]) if m else 0
     aug = tuple(col + e for col, e in zip(transpose(mat), identity(cols)))
@@ -247,7 +250,7 @@ def row_saturation(mat) -> IntMatrix:
     """
     k = kernel(mat)
     if mat and len(k) != len(mat[0]) - len(mat):
-        raise ValueError("rows are linearly dependent")
+        raise DependentBasisError("rows are linearly dependent")
     return kernel(k) if k else identity(len(mat))
 
 
@@ -282,10 +285,10 @@ def solve_left(basis, targets):
     """Solve X * basis = targets over Q, or None if some row is outside the span.
 
     basis rows must be linearly independent; a target whose kernel shows
-    they are not raises ValueError.  Each target is read off the kernel of
-    [basis; t]^T: t lies in the Q-span iff a kernel row (y, s) has s != 0,
-    and then its coordinates are -y/s.  An empty basis spans only the zero
-    vector.  Returns a tuple of Fraction rows, one per target row.
+    they are not raises DependentBasisError.  Each target is read off the
+    kernel of [basis; t]^T: t lies in the Q-span iff a kernel row (y, s) has
+    s != 0, and then its coordinates are -y/s.  An empty basis spans only
+    the zero vector.  Returns a tuple of Fraction rows, one per target row.
     """
     basis = freeze(basis)
     out = []
@@ -296,7 +299,7 @@ def solve_left(basis, targets):
                 f"length {len(basis[0])}")
         kern = kernel(transpose(basis + (t,)))
         if len(kern) > 1 or kern and not kern[0][-1]:
-            raise ValueError("basis rows are linearly dependent")
+            raise DependentBasisError("basis rows are linearly dependent")
         if not kern:
             return None
         *y, s = kern[0]
@@ -318,7 +321,7 @@ def congruence_signature(gram):
     every entry a bordered minor and makes a_ii = 2 a_ij nonzero.  By
     Sylvester's law of inertia the counts do not depend on the pivots.
     """
-    a = [list(row) for row in gram]
+    a = [list(row) for row in freeze(gram)]
     alive = list(range(len(a)))
     pos = neg = 0
     prev = 1

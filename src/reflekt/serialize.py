@@ -220,34 +220,17 @@ def avoid_roots_to_obj(cert: construct.AvoidRootsCertificate) -> dict:
     return _to_obj("avoid_roots", cert)
 
 
-def avoid_roots_from_obj(obj) -> construct.AvoidRootsCertificate:
-    return _from_obj("avoid_roots", obj)
-
-
 def pell_family_to_obj(cert: construct.PellFamilyCertificate) -> dict:
     return _to_obj("pell_family", cert)
-
-
-def pell_family_from_obj(obj) -> construct.PellFamilyCertificate:
-    return _from_obj("pell_family", obj)
 
 
 def mj_to_obj(cert: construct.MjCertificate) -> dict:
     return _to_obj("mj_family", cert)
 
 
-def mj_from_obj(obj) -> construct.MjCertificate:
-    return _from_obj("mj_family", obj)
-
-
 def nv_to_obj(lat: Lattice, d: int, box: int,
               entries: tuple[construct.NvComplementEntry, ...]) -> dict:
     return _to_obj("nv_complements", (lat, d, box, entries))
-
-
-def nv_from_obj(obj):
-    """(lattice, d, box, entries) of an nv_complements certificate."""
-    return _from_obj("nv_complements", obj)
 
 
 def verify_certificate_obj(obj) -> list[str]:

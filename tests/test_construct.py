@@ -665,7 +665,7 @@ class TestSerialization:
         cert = c.avoid_roots(3, 2)
         obj = serialize.avoid_roots_to_obj(cert)
         text = serialize.dumps(obj)
-        back = serialize.avoid_roots_from_obj(json.loads(text))
+        back = serialize._from_obj("avoid_roots", json.loads(text))
         assert back == cert
         assert serialize.dumps(serialize.avoid_roots_to_obj(back)) == text
         assert serialize.verify_certificate_obj(json.loads(text)) == []
@@ -673,14 +673,14 @@ class TestSerialization:
     def test_pell_round_trip(self):
         cert = c.pell_family(7)
         text = serialize.dumps(serialize.pell_family_to_obj(cert))
-        back = serialize.pell_family_from_obj(json.loads(text))
+        back = serialize._from_obj("pell_family", json.loads(text))
         assert back == cert
         assert serialize.verify_certificate_obj(json.loads(text)) == []
 
     def test_mj_round_trip_bit_exact(self):
         cert = c.mj_family(U3, H, 2, 2)
         text = serialize.dumps(serialize.mj_to_obj(cert))
-        back = serialize.mj_from_obj(json.loads(text))
+        back = serialize._from_obj("mj_family", json.loads(text))
         assert back == cert
         assert isinstance(back.f_tilde[0], Fraction)
         assert serialize.dumps(serialize.mj_to_obj(back)) == text
@@ -690,7 +690,7 @@ class TestSerialization:
         u2 = dsum(U, U)
         entries = c.nv_complements(u2, 2, 2)
         text = serialize.dumps(serialize.nv_to_obj(u2, 2, 2, entries))
-        lat, d, box, back = serialize.nv_from_obj(json.loads(text))
+        lat, d, box, back = serialize._from_obj("nv_complements", json.loads(text))
         assert (lat, d, box, back) == (u2, 2, 2, entries)
         assert serialize.verify_certificate_obj(json.loads(text)) == []
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import (U, _rational_rank, charpoly_signature,
                       determinantal_divisor_oracle, dsum, solve_left_oracle)
 from reflekt import construct, intlinalg as la, roots
-from reflekt.errors import InvalidInputError
+from reflekt.errors import DependentBasisError, InvalidInputError
 from reflekt.lattice import Lattice, Sublattice
 
 
@@ -96,7 +96,7 @@ def test_kernel_annihilates_and_is_saturated(m):
 def test_row_saturation_examples():
     assert la.row_saturation(((2, 0),)) == ((1, 0),)
     assert la.row_saturation(((2, 2),)) == ((1, 1),)
-    with pytest.raises(ValueError):
+    with pytest.raises(DependentBasisError):
         la.row_saturation(((1, 2), (2, 4)))
 
 
@@ -129,7 +129,7 @@ def test_solve_left():
     (((1, 2), (2, 4)), ((1, 3),)),  # target outside the span
 ])
 def test_solve_left_rejects_a_dependent_basis(basis, targets):
-    with pytest.raises(ValueError, match="linearly dependent"):
+    with pytest.raises(DependentBasisError, match="linearly dependent"):
         la.solve_left(basis, targets)
 
 
@@ -143,6 +143,26 @@ def test_solve_left_rejects_a_dependent_basis(basis, targets):
 def test_solve_left_rejects_bad_input(basis, targets):
     with pytest.raises(InvalidInputError):
         la.solve_left(basis, targets)
+
+
+@pytest.mark.parametrize("call", [
+    la.det, la.hermite_row_basis, la.kernel, la.rank, la.invariant_factors,
+    la.row_saturation, lambda m: la.solve_left(m, ((1, 0),)),
+    la.congruence_signature, la.smith_normal_form,
+], ids=["det", "hermite_row_basis", "kernel", "rank", "invariant_factors",
+        "row_saturation", "solve_left", "congruence_signature",
+        "smith_normal_form"])
+@pytest.mark.parametrize("mat", [
+    ((1.5, 2), (2, 4)),
+    ((1, Fraction(1, 2)), (2, 4)),
+    ((1, 2), ("2", 4)),
+    ((1, 2), (None, 4)),
+    ((1, 2), 5),
+], ids=["float", "fraction", "str", "none", "row-not-iterable"])
+def test_entry_points_refuse_inexact_matrices(call, mat):
+    # nothing is truncated, rounded or carried along as a float answer
+    with pytest.raises(InvalidInputError):
+        call(mat)
 
 
 @st.composite
@@ -263,7 +283,7 @@ def test_kernel_and_rank_at_rank_5_to_8(m):
 def test_row_saturation_at_rank_5_to_8(m):
     r = len(determinantal_divisor_oracle(m))
     if r < len(m):
-        with pytest.raises(ValueError):
+        with pytest.raises(DependentBasisError):
             la.row_saturation(m)
         return
     s = la.row_saturation(m)
@@ -302,7 +322,7 @@ def test_hermite_paths_match_smith_transforms(m):
     try:
         want = smith_saturation(m)
     except ValueError:
-        with pytest.raises(ValueError, match="linearly dependent"):
+        with pytest.raises(DependentBasisError, match="linearly dependent"):
             la.row_saturation(m)
     else:
         assert la.row_saturation(m) == want
