@@ -5,11 +5,11 @@ docstring.  Docstrings are the string statements `ast.get_docstring` reads
 (the first statement of a module, class or function); blank lines, comment
 lines and the lines of a docstring do not count.
 
-Usage: python scripts/count_lines.py [package_dir] [--against REV]
-(package_dir defaults to src/reflekt next to this script.)  With --against,
-each row reads before, after and delta: before counts the file as
-`git show REV:src/reflekt/<file>` holds it, after as package_dir holds it,
-and a file missing on one side counts 0 there.
+Usage: python scripts/count_lines.py [package_dir]
+(package_dir defaults to src/reflekt next to this script.)  To count the
+package as a git revision REV holds it, run the script on an extract:
+`git archive REV src/reflekt | tar -x -C DIR`, then package_dir
+DIR/src/reflekt.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import ast
 import io
-import subprocess
 import tokenize
 from pathlib import Path
 
@@ -45,39 +44,17 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def rev_sources(root: Path, rev: str) -> dict[str, str]:
-    """{file name: source} of each module in src/reflekt at git revision rev."""
-    def git(*args):
-        return subprocess.run(["git", "-C", str(root), *args], capture_output=True,
-                              text=True, check=True).stdout
-
-    names = git("ls-tree", "--name-only", f"{rev}:src/reflekt").split()
-    return {name: git("show", f"{rev}:src/reflekt/{name}")
-            for name in names if name.endswith(".py")}
-
-
 def main(argv=None) -> int:
-    root = Path(__file__).resolve().parent.parent
+    default = Path(__file__).resolve().parent.parent / "src" / "reflekt"
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("package_dir", nargs="?", type=Path, default=root / "src" / "reflekt")
-    ap.add_argument("--against", metavar="REV",
-                    help="also count each module at this git revision, and the delta")
+    ap.add_argument("package_dir", nargs="?", type=Path, default=default)
     args = ap.parse_args(argv)
-    after = {path.name: path.read_text(encoding="utf-8")
-             for path in args.package_dir.glob("*.py")}
-    if args.against is None:
-        sides = (after,)
-    else:
-        try:
-            sides = (rev_sources(root, args.against), after)
-        except subprocess.CalledProcessError as exc:
-            ap.error(f"cannot read {args.against}: {exc.stderr.strip()}")
-    rows = {name: [code_lines(side[name]) if name in side else 0 for side in sides]
-            for name in sorted(set().union(*sides))}
-    rows["total"] = [sum(col) for col in zip(*rows.values())]
-    for name, counts in rows.items():
-        delta = f"  {counts[1] - counts[0]:+6d}" if len(counts) == 2 else ""
-        print("  ".join(f"{n:6d}" for n in counts) + delta + f"  {name}")
+    total = 0
+    for path in sorted(args.package_dir.glob("*.py")):
+        n = code_lines(path.read_text(encoding="utf-8"))
+        total += n
+        print(f"{n:6d}  {path.name}")
+    print(f"{total:6d}  total")
     return 0
 
 

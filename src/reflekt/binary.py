@@ -511,7 +511,9 @@ def representation_witness(f: BinaryForm, n: int):
     Slower than `represents`, which answers a leading coefficient of the
     cycle with a lookup: here every represented square part needs its first
     class and that class's witness.  In return the answer is checkable
-    evidence, and the two routes agreeing is itself a useful invariant.
+    evidence.  For a non-square D and n != 0 the two routes are independent
+    and agreeing is a useful invariant; for n = 0 or a square D `represents`
+    answers through this function, so the oracles of the tests check it.
     """
     (n,) = int_vector((n,))
     disc = f.disc
@@ -770,11 +772,15 @@ def binary_roots(f: BinaryForm):
     canonical with the automorph, computed once, at the first root.
     """
     a, h, c, disc = f.a, f._half_b(), f.c, f.disc
+
+    def is_root(v, m):
+        return not 2 * gcd(a * v[0] + h * v[1], h * v[0] + c * v[1]) % m
+
     out = []
     if is_square(disc):
         for d in _twice_e_divisors(_gram_exponent(a, h, c)):
-            v = next((v for v in sorted(_square_disc_solutions(f, -d)) if gcd(*v) == 1
-                      and not 2 * gcd(a * v[0] + h * v[1], h * v[0] + c * v[1]) % d), None)
+            v = next((v for v in sorted(_square_disc_solutions(f, -d))
+                      if gcd(*v) == 1 and is_root(v, d)), None)
             if v is not None:
                 out.append((-d, _canonical_witness(None, v)))
         return tuple(out)
@@ -782,7 +788,7 @@ def binary_roots(f: BinaryForm):
     auto = None
     for m, w in _root_classes(start):
         v = _class_witness(f, p, m, w)
-        if 2 * gcd(a * v[0] + h * v[1], h * v[0] + c * v[1]) % m:
+        if not is_root(v, m):
             raise InternalCheckError(
                 f"the witness {v} of a root class of norm {m} is not a root")
         if auto is None:

@@ -81,8 +81,7 @@ def _cmd_lattice_complement(args):
     comp = sub.orthogonal_complement()
     payload = {"basis": [list(r) for r in comp.basis],
                "gram": [list(r) for r in comp.gram_matrix()]}
-    text = _rows_text(comp.basis)
-    _emit(args, payload, text)
+    _emit(args, payload, _rows_text(comp.basis))
 
 
 def _cmd_lattice_saturate(args):
@@ -91,8 +90,7 @@ def _cmd_lattice_saturate(args):
     sat = sub.saturate()
     payload = {"basis": [list(r) for r in sat.basis],
                "index": sub.index_in(sat)}
-    text = _rows_text(sat.basis)
-    _emit(args, payload, text)
+    _emit(args, payload, _rows_text(sat.basis))
 
 
 def _cmd_lattice_index(args):
@@ -107,8 +105,7 @@ def _cmd_lattice_norm_vectors(args):
     lat = serialize.load_lattice(args.file)
     vs = lat.enumerate_norm_vectors(args.n, args.box)
     payload = {"vectors": [list(v) for v in vs]}
-    text = _rows_text(vs)
-    _emit(args, payload, text)
+    _emit(args, payload, _rows_text(vs))
 
 
 def _cmd_binary_represents(args):
@@ -147,8 +144,7 @@ def _cmd_binary_roots(args):
 def _cmd_binary_isometry(args):
     m = binary.fundamental_automorph(binary.BinaryForm.from_d(args.d))
     payload = {"matrix": [list(r) for r in m]}
-    text = _rows_text(m)
-    _emit(args, payload, text)
+    _emit(args, payload, _rows_text(m))
 
 
 def _cmd_roots_check(args):
@@ -161,8 +157,7 @@ def _cmd_roots_find(args):
     lat = serialize.load_lattice(args.file)
     found = roots.find_roots_in_box(lat, args.box)
     payload = {"roots": [{"vector": list(v), "norm": lat.norm(v)} for v in found]}
-    text = _rows_text(found) or "(none)"
-    _emit(args, payload, text)
+    _emit(args, payload, _rows_text(found) or "(none)")
 
 
 def _verdict_payload(verdict: roots.ReflectivityVerdict) -> dict:

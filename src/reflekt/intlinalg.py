@@ -3,8 +3,9 @@
 Everything here runs on unbounded Python integers, with Hermite forms as
 the one elimination; no floating point is used anywhere.  Fractions appear
 only as the answers of `solve_left`.  Matrices are immutable tuples of
-tuples of rows.  The entry points read any nested sequence of exact
-integers through `freeze` and refuse anything else with InvalidInputError;
+tuples of rows.  The entry points read any nested sequence through
+`freeze` and refuse an entry that is not an exact integer, or a row that is
+not iterable, with InvalidInputError; they do not check the matrix's shape.
 `transpose`, `mat_mul`, `mat_vec` and `content` are unchecked helpers.
 """
 

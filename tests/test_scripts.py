@@ -1,12 +1,8 @@
 """Smoke runs of the example scripts, which use the public API end to end."""
 
-import io
 import subprocess
 import sys
-import tarfile
 from pathlib import Path
-
-import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -46,18 +42,3 @@ def test_count_lines(tmp_path):
         '    x = (1,\n         2)  # trailing\n    return x\n')
     assert _run(SCRIPTS / "count_lines.py", tmp_path) == (
         "     4  m.py\n     4  total\n")
-    # against a revision each row is before, after and delta: the package as
-    # HEAD holds it, counted against HEAD, changes by 0 in every row
-    archive = subprocess.run(["git", "-C", SCRIPTS.parent, "archive", "HEAD", "src/reflekt"],
-                             capture_output=True)
-    if archive.returncode:
-        pytest.skip("the tree is not a git checkout")
-    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-        tar.extractall(tmp_path / "head")
-    head = tmp_path / "head" / "src" / "reflekt"
-    rows = [line.split() for line in
-            _run(SCRIPTS / "count_lines.py", head, "--against", "HEAD").splitlines()]
-    assert [name for *_, name in rows] == [p.name for p in sorted(head.glob("*.py"))] + ["total"]
-    assert all(before == after and delta == "+0" for before, after, delta, _ in rows)
-    plain = _run(SCRIPTS / "count_lines.py", head).splitlines()
-    assert [before for before, *_ in rows] == [line.split()[0] for line in plain]
