@@ -16,21 +16,23 @@ principal form (1, 2 a0, a0^2 - d), which is its own mirror image
 (`_principal_half`).  Every product of rho steps, a Pell unit's or a
 witness's, is taken by `_step_product`, in chunks and a balanced tree.
 
-Each public call reduces f once, and each question has one memo, a
-`functools.lru_cache` of the 64 most recently used keys, each a reduced
-start form or a checked int: `_cycle`, `_mu_walk` and `_root_classes` are
-keyed by start form, `_pell_unit` by d and `_twice_e_divisors` by e.
+Each public call reduces f once, by `_reduce`, to its reduced start form,
+and each question has one memo, a `functools.lru_cache` of the 64 most
+recently used keys, each a reduced start form or a checked int: `_cycle`,
+`_mu_walk` and `_root_classes` are keyed by the start form alone, since it
+fixes D and isqrt(D), `_pell_unit` by d and `_twice_e_divisors` by e.
 `represents`, `representation_witness` and `binary_roots` walk each cycle
-once and keep it as a record, by `_cycle`: the position of every form in
-rho order, the set of leading coefficients, and the t of every rho step,
-whose matrix is ((0, -1), (1, t)).  Both cycle tests are then lookups, and
-a witness multiplies the stored steps from f's reduced form to its class's
-instead of walking the cycle again.  `binary_roots` reads even those
-products from `_root_classes`, once per start form, and the divisors of 2e
-from `_twice_e_divisors`; each call still checks its own witnesses.  The
-Pell unit of d is computed once while `_pell_unit` holds it, and each
-`pell_fundamental` call checks d and its PellSolution.  mu is the
-largest negative leading coefficient of the cycle (the proof is in `mu`).
+once and keep it as a record, by `_cycle`: D and isqrt(D), the position of
+every form in rho order, the set of leading coefficients, and the t of
+every rho step, whose matrix is ((0, -1), (1, t)).  Both cycle tests are
+then lookups, and a witness multiplies the stored steps from f's reduced
+form to its class's instead of walking the cycle again.  `binary_roots`
+reads even those products from `_root_classes`, once per start form, and
+the divisors of 2e from `_twice_e_divisors`; each call still checks its
+own witnesses.  The Pell unit of d is computed once while `_pell_unit`
+holds it, and each `pell_fundamental` call checks d and its PellSolution.
+mu is the largest negative leading coefficient of the cycle (the proof is
+in `mu`).
 `_mu_walk` streams the cycle in O(1) memory and keeps the answer; it stops
 at a lead of -1, and on the mirror-symmetric cycle of an ambiguous class
 after half of it.  mu never builds or reads a record, and a certificate
@@ -57,7 +59,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import NamedTuple
 
 from . import lattice as lattice_mod
 from .arith import (divisors, factorize, int_vector, is_nonresidue,
@@ -107,6 +108,7 @@ class BinaryForm:
     @staticmethod
     def from_d(d: int) -> "BinaryForm":
         """The diagonal form x^2 - d y^2."""
+        (d,) = int_vector((d,))
         return BinaryForm(1, 0, -d)
 
     @staticmethod
@@ -169,7 +171,7 @@ def _principal_half(d: int):
         raise InvalidInputError(f"d must be a positive non-square, got {d}")
     a0 = isqrt(d)
     ts, cs = [], []
-    for (_, b, c), t in _walk((1, 2 * a0, a0 * a0 - d), 4 * d, isqrt(4 * d)):
+    for (_, b, c), t in _walk((1, 2 * a0, a0 * a0 - d)):
         ts.append(t)
         cs.append(c)
         if t * c == b:
@@ -296,17 +298,19 @@ def _reduce_form(form, disc, sq):
         f"reduction of {form} took more than {_REDUCE_CAP} steps")
 
 
-def _walk(start, disc, sq):
+def _walk(start):
     """The rho-cycle through the reduced form start, streamed: each form in
-    rho order from start, with the t of the step that leaves it.  A cycle
-    longer than _CYCLE_CAP forms raises EffortLimitExceeded.
+    rho order from start, with the t of the step that leaves it.  D and
+    isqrt(D) are computed once, from start.  A cycle longer than _CYCLE_CAP
+    forms raises EffortLimitExceeded.
 
     The step is `_reduce_form`'s rho step in its branch for |c| <= isqrt(D):
     every form of the cycle is reduced, and a reduced form has
     |c| <= isqrt(D), since 4|ac| = D - b^2 < (sq + 1 - b)(sq + 1 + b) and
     2|a| >= sq + 1 - b give 2|c| < sq + 1 + b <= 2 sq + 1."""
-    cur = start
-    _, b, c = start
+    cur = a, b, c = start
+    disc = b * b - 4 * a * c
+    sq = isqrt(disc)
     for _ in range(_CYCLE_CAP):
         r = sq - (sq + b) % (2 * abs(c))
         yield cur, (b + r) // (2 * c)
@@ -318,7 +322,7 @@ def _walk(start, disc, sq):
 
 
 @lru_cache(maxsize=_RECORD_SLOTS)
-def _mu_walk(start, disc, sq):
+def _mu_walk(start):
     """The largest negative leading coefficient of the cycle through the
     reduced form start, by `_walk`'s step inlined, in O(1) memory.  It
     stops at a c of -1, at its second edge centre, counting the step into
@@ -326,6 +330,8 @@ def _mu_walk(start, disc, sq):
     the start again (the proof is in `mu`).  A walk longer than
     _CYCLE_CAP forms raises `_walk`'s EffortLimitExceeded."""
     a0, b0, c0 = start
+    disc = b0 * b0 - 4 * a0 * c0
+    sq = isqrt(disc)
     # rho(c0, b0, a0) = start iff the step into the start is a centre
     past_centre = sq - (sq + b0) % (2 * abs(a0)) == b0
     # a reduced form has ac < 0, and c leads the next form of the cycle
@@ -349,33 +355,24 @@ def _mu_walk(start, disc, sq):
 
 @lru_cache(maxsize=_RECORD_SLOTS)
 def _cycle(start):
-    """The rho-cycle through a reduced form, as (positions, leads, steps):
-    a read-only dict from each form to its index in rho order from start,
-    the frozenset of the forms' leading coefficients, and the t of each rho
-    step, steps[i] leading from the form at index i to the next."""
-    disc = start[1] ** 2 - 4 * start[0] * start[2]
+    """The rho-cycle through a reduced form, as (disc, sq, positions, leads,
+    steps): its discriminant D and isqrt(D), a read-only dict from each form
+    to its index in rho order from start, the frozenset of the forms'
+    leading coefficients, and the t of each rho step, steps[i] leading from
+    the form at index i to the next."""
     pos, steps = {}, []
-    for g, t in _walk(start, disc, isqrt(disc)):
+    for g, t in _walk(start):
         pos[g] = len(steps)
         steps.append(t)
-    return pos, frozenset(g[0] for g in pos), tuple(steps)
+    disc = start[1] ** 2 - 4 * start[0] * start[2]
+    return disc, isqrt(disc), pos, frozenset(g[0] for g in pos), tuple(steps)
 
 
-class _Reduction(NamedTuple):
-    """A form f of non-square discriminant, reduced once per public call:
-    f∘p is the reduced form at index 0 of the cycle record."""
-
-    disc: int
-    sq: int
-    p: tuple
-    cycle: tuple
-
-
-def _reduction(f: BinaryForm) -> _Reduction:
+def _reduce(f: BinaryForm):
+    """(start, p): the reduced form f∘p = start of f, for a non-square D.
+    Each public call reduces f once, here."""
     disc = f.disc
-    sq = isqrt(disc)
-    f_red, p = _reduce_form((f.a, f.b, f.c), disc, sq)
-    return _Reduction(disc, sq, p, _cycle(f_red))
+    return _reduce_form((f.a, f.b, f.c), disc, isqrt(disc))
 
 
 def _sqrt_mod_prime(a, p):
@@ -456,20 +453,19 @@ def represents(f: BinaryForm, n: int) -> bool:
     (n,) = int_vector((n,))
     if n == 0 or is_square(f.disc):
         return representation_witness(f, n) is not None
-    red = _reduction(f)
-    leads = red.cycle[1]
-    return any(m in leads or _first_class(red, m) is not None
+    rec = _cycle(_reduce(f)[0])
+    return any(m in rec[3] or _first_class(rec, m) is not None
                for _, m in _square_parts(n))
 
 
-def _first_class(red: _Reduction, m: int, bs=None):
+def _first_class(rec, m: int, bs=None):
     """The class search for m != 0: (reduced, M) with (m, b, c)∘M = reduced
     for the first b in bs whose form reduces into f's cycle, or None.  bs
     holds square roots of D mod 4|m| and defaults to all of them in
-    [0, 2|m|), in increasing order.  When 4m^2 < D, m has a class iff it is
-    a leading coefficient of the cycle, so a non-lead is answered at once."""
-    disc, sq = red.disc, red.sq
-    pos, leads, _ = red.cycle
+    [0, 2|m|), in increasing order.  rec is the cycle record of f's reduced
+    form.  When 4m^2 < D, m has a class iff it is a leading coefficient of
+    the cycle, so a non-lead is answered at once."""
+    disc, sq, pos, leads, _ = rec
     if 4 * m * m < disc and m not in leads:
         return None
     for b in _sqrt_classes_mod(disc, m) if bs is None else bs:
@@ -532,11 +528,12 @@ def representation_witness(f: BinaryForm, n: int):
     if is_square(disc):
         sols = _square_disc_solutions(f, n)
         return min(sols) if sols else None
-    red = _reduction(f)
+    start, p = _reduce(f)
+    rec = _cycle(start)
     for t, m in _square_parts(n):
-        cls = _first_class(red, m)
+        cls = _first_class(rec, m)
         if cls is not None:
-            x, y = _class_witness(f, red.p, m, _class_matrix(red.cycle, *cls))
+            x, y = _class_witness(f, p, m, _class_matrix(rec, *cls))
             return (t * x, t * y)
     return None
 
@@ -626,10 +623,7 @@ def mu(f: BinaryForm) -> int:
     if not is_anisotropic(f):
         raise IsotropicFormError(
             "mu is undefined for isotropic forms in this toolkit")
-    disc = f.disc
-    sq = isqrt(disc)
-    start, _ = _reduce_form((f.a, f.b, f.c), disc, sq)
-    return _mu_walk(start, disc, sq)
+    return _mu_walk(_reduce(f)[0])
 
 
 # -- automorphs and root norms ----------------------------------------------
@@ -693,12 +687,12 @@ def _canonical_witness(auto, v):
     return max(max(cands), max((-wx, -wy) for wx, wy in cands))
 
 
-def _class_matrix(cycle, g_red, q):
+def _class_matrix(rec, g_red, q):
     """r q^-1 for the class (m, b, c) with (m, b, c)∘q = g_red in the cycle
-    record: r is the product of the stored steps from the start (index 0)
-    to g_red, by `_step_product`.  For f∘p = start, the first column of
+    record rec: r is the product of the stored steps from the start (index
+    0) to g_red, by `_step_product`.  For f∘p = start, the first column of
     p r q^-1 is the class's primitive solution of f = m."""
-    pos, _, steps = cycle
+    _, _, pos, _, steps = rec
     return _mat2_mul(_step_product(steps[:pos[g_red]]), _mat2_inv_unimodular(q))
 
 
@@ -734,14 +728,14 @@ def _root_classes(start):
     b in {0, |m|}.  The norms tried are -d for d in `_twice_e_divisors(e)`,
     and e = (D/4) / content is fixed by start."""
     a, b, c = start
-    disc = b * b - 4 * a * c
-    red = _Reduction(disc, isqrt(disc), ((1, 0), (0, 1)), _cycle(start))
+    rec = _cycle(start)
+    disc = rec[0]
     out = []
     for d in _twice_e_divisors(_gram_exponent(a, b // 2, c)):
-        cls = _first_class(red, -d, (r for r in (0, d)
+        cls = _first_class(rec, -d, (r for r in (0, d)
                                      if (r * r - disc) % (4 * d) == 0))
         if cls is not None:
-            out.append((-d, _class_matrix(red.cycle, *cls)))
+            out.append((-d, _class_matrix(rec, *cls)))
     return tuple(out)
 
 
@@ -784,7 +778,7 @@ def binary_roots(f: BinaryForm):
             if v is not None:
                 out.append((-d, _canonical_witness(None, v)))
         return tuple(out)
-    start, p = _reduce_form((a, f.b, c), disc, isqrt(disc))
+    start, p = _reduce(f)
     auto = None
     for m, w in _root_classes(start):
         v = _class_witness(f, p, m, w)

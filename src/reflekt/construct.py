@@ -172,6 +172,9 @@ def validate_avoid_roots(cert: AvoidRootsCertificate) -> list[str]:
 
 @dataclass(frozen=True)
 class PellFamilyCertificate:
+    """The form x^2 - d y^2 with d = a^2 - 1 has mu = 2 - 2a, attained at
+    the primitive witness (a - 1, 1)."""
+
     a: int
     d: int                       # a^2 - 1
     mu: int                      # 2 - 2a
@@ -223,6 +226,9 @@ def select_pell_a(n: int) -> int:
 
 @dataclass(frozen=True)
 class MjEntry:
+    """M_j, the saturation of Zv + Zh for v = m_factor * u_a: its basis and
+    Gram matrix, its mu below -d*N, and its index over Zv + Zh, dividing T."""
+
     a: int
     u: tuple[Fraction, ...]          # ambient rational coordinates
     m_factor: int                    # minimal multiple with m_factor*u integral
@@ -235,6 +241,9 @@ class MjEntry:
 
 @dataclass(frozen=True)
 class MjCertificate:
+    """Binary anisotropic sublattices M_j through h, one per a, each missing
+    all of [-d*N, -1], with q(v) strictly decreasing along the entries."""
+
     ambient: Lattice
     h: tuple[int, ...]
     d: int
@@ -566,6 +575,9 @@ def validate_mj(cert: MjCertificate) -> list[str]:
 
 @dataclass(frozen=True)
 class NvComplementEntry:
+    """The orthogonal complement of a primitive norm-d vector h, with its
+    isometry fingerprint; entries of one fingerprint_class may be isometric."""
+
     h: tuple[int, ...]
     basis: tuple[tuple[int, ...], ...]
     gram: tuple[tuple[int, ...], ...]

@@ -4,8 +4,9 @@ Everything here runs on unbounded Python integers, with Hermite forms as
 the one elimination; no floating point is used anywhere.  Fractions appear
 only as the answers of `solve_left`.  Matrices are immutable tuples of
 tuples of rows.  The entry points read any nested sequence through
-`freeze` and refuse an entry that is not an exact integer, or a row that is
-not iterable, with InvalidInputError; they do not check the matrix's shape.
+`freeze` and refuse an entry that is not an exact integer, a row that is
+not iterable, or rows of unequal length, with InvalidInputError; `det` and
+`congruence_signature` refuse a matrix that is not square too.
 `transpose`, `mat_mul`, `mat_vec` and `content` are unchecked helpers.
 """
 
@@ -24,13 +25,24 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def freeze(rows) -> IntMatrix:
-    """rows as a tuple of `int_vector`s; rows that are not iterable are an
-    InvalidInputError too."""
+    """rows as a tuple of `int_vector`s of one length; rows that are not
+    iterable, or of unequal lengths, are an InvalidInputError too."""
     try:
-        return tuple(int_vector(row) for row in rows)
+        out = tuple(int_vector(row) for row in rows)
     except TypeError:
         raise InvalidInputError(
             f"expected integer entries, got {rows!r}") from None
+    if len({len(row) for row in out}) > 1:
+        raise InvalidInputError(f"expected rows of one length, got {out!r}")
+    return out
+
+
+def _square(m) -> IntMatrix:
+    """freeze(m), refusing a matrix that is not square."""
+    m = freeze(m)
+    if m and len(m[0]) != len(m):
+        raise InvalidInputError(f"expected a square matrix, got {m!r}")
+    return m
 
 
 def identity(n: int) -> IntMatrix:
@@ -52,7 +64,7 @@ def mat_vec(m, v):
 
 def det(m) -> int:
     """Determinant of an integer matrix, fraction-free (Bareiss)."""
-    a = [list(row) for row in freeze(m)]
+    a = [list(row) for row in _square(m)]
     n = len(a)
     if n == 0:
         return 1
@@ -322,7 +334,7 @@ def congruence_signature(gram):
     every entry a bordered minor and makes a_ii = 2 a_ij nonzero.  By
     Sylvester's law of inertia the counts do not depend on the pivots.
     """
-    a = [list(row) for row in freeze(gram)]
+    a = [list(row) for row in _square(gram)]
     alive = list(range(len(a)))
     pos = neg = 0
     prev = 1

@@ -117,6 +117,7 @@ class Lattice:
 
     def rescale(self, k: int) -> "Lattice":
         """The same module with the form multiplied by k."""
+        (k,) = intlinalg.int_vector((k,))
         if k == 0:
             raise InvalidInputError("rescale factor must be nonzero")
         return Lattice(tuple(tuple(k * x for x in row) for row in self.gram))

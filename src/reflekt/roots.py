@@ -129,6 +129,9 @@ class ReflectivityEvidence:
 
 @dataclass(frozen=True)
 class ReflectivityVerdict:
+    """A lattice's reflectivity status, REFLECTIVE, NON_REFLECTIVE or
+    UNKNOWN, with the evidence that supports it."""
+
     status: str
     evidence: ReflectivityEvidence
 

@@ -23,6 +23,11 @@ from reflekt.errors import (EffortLimitExceeded, InvalidInputError,
 NONSQUARE = [d for d in range(2, 201) if not b.is_square(d)]
 
 
+def _record(f):
+    """The cycle record of f's reduced start form."""
+    return b._cycle(b._reduce(f)[0])
+
+
 def indefinite_forms(entry=12):
     return st.tuples(st.integers(-entry, entry), st.integers(-entry, entry),
                      st.integers(-entry, entry)).filter(
@@ -66,6 +71,9 @@ class TestBinaryForm:
         lambda: b.BinaryForm(1, Fraction(0), -2),
         lambda: b.BinaryForm("1", 0, -2),
         lambda: b.BinaryForm.from_d(7.0),
+        lambda: b.BinaryForm.from_d("3"),
+        lambda: b.BinaryForm.from_d(None),
+        lambda: b.BinaryForm.from_d((1, 2)),
     ])
     def test_rejects_non_integer_coefficients(self, make):
         with pytest.raises(InvalidInputError, match="expected integer entries"):
@@ -132,7 +140,7 @@ class TestContinuedFractions:
             if b.is_square(d):
                 continue
             a0 = isqrt(d)
-            walk = list(b._walk((1, 2 * a0, a0 * a0 - d), 4 * d, isqrt(4 * d)))
+            walk = list(b._walk((1, 2 * a0, a0 * a0 - d)))
             ts = [t for _, t in walk]
             n = len(ts)
             assert all(ts[n - 2 - j] == ts[j] for j in range(n - 1)), d
@@ -457,7 +465,7 @@ class TestStreamedMu:
         records = b._cycle.cache_info()
         streamed = b.mu(f)
         assert b._cycle.cache_info() == records
-        return streamed, max(a for a in b._reduction(f).cycle[1] if a < 0)
+        return streamed, max(a for a in _record(f)[3] if a < 0)
 
     # x^2 - 2y^2, x^2 - 13y^2 and -x^2 + 7y^2 have mu = -1 and stop early;
     # the last reduces to (-1, 4, 3), a start with a negative lead, as do
@@ -504,7 +512,7 @@ class TestStreamedMu:
     def test_mu_walks_past_a_cached_record(self, t):
         # a record of f's cycle is no route to mu: it still walks once
         f = b.BinaryForm(*t)
-        b._reduction(f)
+        _record(f)
         assert b._cycle.cache_info().currsize == 1
         assert b.mu(f) == mu_oracle(f)
         assert b._mu_walk.cache_info().misses == 1
@@ -525,7 +533,7 @@ class TestStreamedMu:
                 monkeypatch.setattr(b, "_CYCLE_CAP", half - j)
                 assert b.mu(f) == -1
                 with pytest.raises(EffortLimitExceeded):
-                    b._reduction(f)
+                    _record(f)
                 b._mu_walk.cache_clear()
                 monkeypatch.setattr(b, "_CYCLE_CAP", half - j - 1)
                 with pytest.raises(EffortLimitExceeded):
@@ -594,7 +602,7 @@ class TestStreamedMu:
                 if n > 2:
                     seen += 1
                     with pytest.raises(EffortLimitExceeded):
-                        b._reduction(f)
+                        _record(f)
         assert seen > 350, seen
 
     def test_mu_memo_is_bounded_and_walks_once(self):
@@ -768,7 +776,7 @@ class TestFastPathsMatchOracles:
         if not b.is_anisotropic(f):
             return
         cycle = cycle_oracle(f)
-        pos, leads, steps = b._reduction(f).cycle
+        _, _, pos, leads, steps = _record(f)
         assert list(pos) == cycle
         assert [pos[g] for g in cycle] == list(range(len(cycle)))
         assert leads == frozenset(g[0] for g in cycle)
@@ -795,7 +803,7 @@ class TestFastPathsMatchOracles:
         f = b.BinaryForm(*t)
         if not b.is_anisotropic(f):
             return
-        assert (b._first_class(b._reduction(f), n) is not None) == \
+        assert (b._first_class(_record(f), n) is not None) == \
             primitive_oracle(f, n)
         assert b.represents(f, n) == any(
             primitive_oracle(f, m) for _, m in square_parts_oracle(n))
@@ -876,12 +884,13 @@ class TestFastPathsMatchOracles:
         f = b.BinaryForm(*t)
         if not b.is_anisotropic(f):
             return
-        red = b._reduction(f)
+        start, p = b._reduce(f)
+        rec = b._cycle(start)
 
         def first_witness(m):
-            cls = b._first_class(red, m)
+            cls = b._first_class(rec, m)
             return [] if cls is None else [
-                b._class_witness(f, red.p, m, b._class_matrix(red.cycle, *cls))]
+                b._class_witness(f, p, m, b._class_matrix(rec, *cls))]
 
         assert first_witness(n) == witness_walk_oracle(f, n)[:1]
         if t[1] % 2 == 0:
@@ -1259,11 +1268,11 @@ class TestBudgets:
         refusal = f"cycle through {cycle[0]} is longer than {len(cycle) - 1} forms"
         monkeypatch.setattr(b, "_CYCLE_CAP", len(cycle))
         assert b.mu(f) == mu_oracle(f)
-        assert len(b._reduction(f).cycle[2]) == len(cycle)
+        assert len(_record(f)[4]) == len(cycle)
         b._cycle.cache_clear()
         b._mu_walk.cache_clear()
         monkeypatch.setattr(b, "_CYCLE_CAP", len(cycle) - 1)
-        for route in (b.mu, b._reduction):
+        for route in (b.mu, _record):
             with pytest.raises(EffortLimitExceeded) as exc:
                 route(f)
             assert str(exc.value) == refusal
@@ -1284,10 +1293,10 @@ class TestBudgets:
         monkeypatch.setattr(b, "_CYCLE_CAP", half)
         assert b.mu(f) == mu_oracle(f)
         with pytest.raises(EffortLimitExceeded):
-            b._reduction(f)
+            _record(f)
         b._mu_walk.cache_clear()
         monkeypatch.setattr(b, "_CYCLE_CAP", half - 1)
-        for route in (b.mu, b._reduction):
+        for route in (b.mu, _record):
             with pytest.raises(EffortLimitExceeded) as exc:
                 route(f)
             assert str(exc.value) == refusal

@@ -158,10 +158,21 @@ def test_solve_left_rejects_bad_input(basis, targets):
     ((1, 2), ("2", 4)),
     ((1, 2), (None, 4)),
     ((1, 2), 5),
-], ids=["float", "fraction", "str", "none", "row-not-iterable"])
+    ((1, 2), (3,)),
+], ids=["float", "fraction", "str", "none", "row-not-iterable", "ragged"])
 def test_entry_points_refuse_inexact_matrices(call, mat):
-    # nothing is truncated, rounded or carried along as a float answer
+    # nothing is truncated, rounded or carried along as a float answer, and
+    # a ragged matrix is no matrix
     with pytest.raises(InvalidInputError):
+        call(mat)
+
+
+@pytest.mark.parametrize("call", [la.det, la.congruence_signature],
+                         ids=["det", "congruence_signature"])
+@pytest.mark.parametrize("mat", [((1, 2, 3), (2, 5, 6)), ((), ())],
+                         ids=["2x3", "2x0"])
+def test_square_entry_points_refuse_other_shapes(call, mat):
+    with pytest.raises(InvalidInputError, match="square"):
         call(mat)
 
 

@@ -329,8 +329,9 @@ class TestEnumerateNormVectors:
         lambda lat: Lattice(5),
         lambda lat: Lattice(((1, 0), 3)),
         lambda lat: Lattice.diagonal(1, -1).norm(5),
+        lambda lat: lat.rescale(None),
     ], ids=["norm", "budget", "walk_box", "box_vectors", "roots_box",
-            "reflectivity_budget", "gram", "gram_row", "vector"])
+            "reflectivity_budget", "gram", "gram_row", "vector", "rescale"])
     def test_non_integer_scalars_are_rejected(self, call):
         with pytest.raises(InvalidInputError, match="expected integer entries"):
             call(dsum(U, U, diag(-2)))
