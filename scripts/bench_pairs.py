@@ -1,18 +1,16 @@
 """Run the benchmark in two trees in alternated pairs and compare them.
 
 Usage: python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out FILE
-           [--pairs N] [--workload W ...] [--smoke]
 
 Each tree is a checkout holding BENCHMARK.json, perfbench/ and src/.  To
 benchmark a git revision REV, extract it first:
 `git archive REV | tar -x -C DIR`, then pass DIR.
 
-For each workload (default: every one of CHANGE_DIR's BENCHMARK.json), pair
-k = 1..N runs `perfbench/run.py --workload W --seed 1 --seconds S --trace 0`
-once in each tree, CHANGE_DIR first when k is odd and PARENT_DIR first when
-it is even, where S is the file's run_seconds; --smoke passes --smoke
-instead, for one op of each kind.  Each run's last stdout line is its JSON
-result.
+For each workload of CHANGE_DIR's BENCHMARK.json, pair k = 1..10 runs
+`perfbench/run.py --workload W --seed 1 --seconds S --trace 0` once in each
+tree, with the tree as working directory, CHANGE_DIR first when k is odd
+and PARENT_DIR first when it is even, where S is the file's run_seconds.
+Each run's last stdout line is its JSON result.
 
 FILE gets sorted-key JSON: every run, with its correct and failed, and for
 each workload and end-to-end metric both medians, the interquartile range
@@ -20,8 +18,7 @@ of the parent's runs, the pairs the change won, and a verdict against the
 metric's relative bound: "regressed" when the change's median is worse
 than the parent's by more than the bound, else "unresolved" when the
 parent's IQR exceeds the bound times its median, else "ok".  The exit
-code is 1 when some run is not correct.  Smoke runs are too short for
-their verdicts to mean anything.
+code is 1 when some run is not correct.
 """
 
 from __future__ import annotations
@@ -34,13 +31,13 @@ import sys
 from pathlib import Path
 
 TREES = ("parent", "change")
+PAIRS = 10
 
 
-def run_once(tree: Path, workload: str, seconds, smoke: bool) -> dict:
+def run_once(tree: Path, workload: str, seconds) -> dict:
     """One benchmark run in tree: its JSON result line, as a dict."""
-    argv = [sys.executable, str(tree / "perfbench" / "run.py"),
-            "--workload", workload, "--seed", "1", "--trace", "0"]
-    argv += ["--smoke"] if smoke else ["--seconds", str(seconds)]
+    argv = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload",
+            workload, "--seed", "1", "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -80,21 +77,17 @@ def main(argv=None) -> int:
     ap.add_argument("parent_dir", type=Path)
     ap.add_argument("change_dir", type=Path)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--workload", nargs="+")
-    ap.add_argument("--smoke", action="store_true")
     args = ap.parse_args(argv)
     trees = dict(zip(TREES, (args.parent_dir.resolve(), args.change_dir.resolve())))
     bench = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
 
     runs, summary = [], {}
-    for workload in workloads:
+    for workload in (w["name"] for w in bench["workloads"]):
         values = {tree: [] for tree in TREES}
-        for pair in range(1, args.pairs + 1):
+        for pair in range(1, PAIRS + 1):
             order = TREES[::-1] if pair % 2 else TREES
             for position, tree in enumerate(order):
-                result = run_once(trees[tree], workload, bench["run_seconds"], args.smoke)
+                result = run_once(trees[tree], workload, bench["run_seconds"])
                 metrics = {k: v["value"] for k, v in result["metrics"].items()}
                 runs.append({"workload": workload, "pair": pair, "tree": tree,
                              "position": position, "correct": result["correct"],
@@ -108,8 +101,8 @@ def main(argv=None) -> int:
                                [v[m["name"]] for v in values["change"]], m)
             for m in bench["end_to_end"]}
 
-    report = {"pairs": args.pairs, "run_seconds": bench["run_seconds"], "seed": 1,
-              "smoke": args.smoke, "runs": runs, "summary": summary}
+    report = {"pairs": PAIRS, "run_seconds": bench["run_seconds"], "seed": 1,
+              "runs": runs, "summary": summary}
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
     return 0 if all(r["correct"] for r in runs) else 1

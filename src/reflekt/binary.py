@@ -454,7 +454,8 @@ def represents(f: BinaryForm, n: int) -> bool:
     if n == 0 or is_square(f.disc):
         return representation_witness(f, n) is not None
     rec = _cycle(_reduce(f)[0])
-    return any(m in rec[3] or _first_class(rec, m) is not None
+    _, _, _, leads, _ = rec
+    return any(m in leads or _first_class(rec, m) is not None
                for _, m in _square_parts(n))
 
 
@@ -729,7 +730,7 @@ def _root_classes(start):
     and e = (D/4) / content is fixed by start."""
     a, b, c = start
     rec = _cycle(start)
-    disc = rec[0]
+    disc, *_ = rec
     out = []
     for d in _twice_e_divisors(_gram_exponent(a, b // 2, c)):
         cls = _first_class(rec, -d, (r for r in (0, d)

@@ -33,11 +33,11 @@ class Lattice:
     gram: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        g = intlinalg.freeze(self.gram)
+        g = intlinalg._square(self.gram)
         object.__setattr__(self, "gram", g)
         n = len(g)
-        if n == 0 or any(len(row) != n for row in g):
-            raise InvalidInputError("gram matrix must be square and nonempty")
+        if n == 0:
+            raise InvalidInputError("gram matrix must be nonempty")
         for i in range(n):
             for j in range(i):
                 if g[i][j] != g[j][i]:

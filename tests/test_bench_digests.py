@@ -1,8 +1,6 @@
 """The benchmark's recorded answers hold: a smoke run of each workload on its
 reference seed passes every oracle check and matches the recorded digest,
 and so does the full first pass of binary_queries and of lattice_algebra.
-scripts/bench_pairs.py runs the benchmark in pairs of trees and writes its
-comparison.
 
 The run works in a copy of perfbench next to a link to this tree's src, so
 that its output directory is made under tmp_path, not under perfbench.
@@ -61,29 +59,3 @@ def test_full_first_pass_matches_the_recorded_digest(bench_root, workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
-
-
-def test_bench_pairs_writes_every_run_and_metric(bench_root, tmp_path):
-    # one tree as both parent and change; smoke runs are noise, so the
-    # verdicts are not checked
-    out = tmp_path / "pairs.json"
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
-         str(bench_root), str(bench_root), "--out", str(out), "--pairs", "1",
-         "--workload", "lattice_algebra", "--smoke"],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    report = json.loads(out.read_text(encoding="utf-8"))
-    metrics = [m["name"] for m in json.loads(
-        (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]]
-    assert [(r["pair"], r["tree"], r["position"]) for r in report["runs"]] == \
-        [(1, "change", 0), (1, "parent", 1)]
-    for run in report["runs"]:
-        assert run["correct"] is True and run["failed"] == 0
-        assert sorted(run["metrics"]) == sorted(metrics)
-    summary = report["summary"]["lattice_algebra"]
-    assert sorted(summary) == sorted(metrics)
-    for row in summary.values():
-        assert row["pairs"] == 1 and row["parent_iqr"] == 0
-        assert row["verdict"] in ("ok", "regressed", "unresolved")

@@ -465,7 +465,8 @@ class TestStreamedMu:
         records = b._cycle.cache_info()
         streamed = b.mu(f)
         assert b._cycle.cache_info() == records
-        return streamed, max(a for a in _record(f)[3] if a < 0)
+        _, _, _, leads, _ = _record(f)
+        return streamed, max(a for a in leads if a < 0)
 
     # x^2 - 2y^2, x^2 - 13y^2 and -x^2 + 7y^2 have mu = -1 and stop early;
     # the last reduces to (-1, 4, 3), a start with a negative lead, as do
@@ -1268,7 +1269,8 @@ class TestBudgets:
         refusal = f"cycle through {cycle[0]} is longer than {len(cycle) - 1} forms"
         monkeypatch.setattr(b, "_CYCLE_CAP", len(cycle))
         assert b.mu(f) == mu_oracle(f)
-        assert len(_record(f)[4]) == len(cycle)
+        _, _, _, _, steps = _record(f)
+        assert len(steps) == len(cycle)
         b._cycle.cache_clear()
         b._mu_walk.cache_clear()
         monkeypatch.setattr(b, "_CYCLE_CAP", len(cycle) - 1)

@@ -63,8 +63,12 @@ class TestLatticeBasics:
             Lattice(((0, 1), (2, 0)))  # not symmetric
         with pytest.raises(DegenerateLatticeError):
             Lattice(((1, 1), (1, 1)))
-        with pytest.raises(InvalidInputError):
-            Lattice(((1, 0),))  # not square
+        with pytest.raises(InvalidInputError, match="expected a square matrix"):
+            Lattice(((1, 0),))
+        with pytest.raises(InvalidInputError, match="expected rows of one length"):
+            Lattice(((1, 2), (3,)))
+        with pytest.raises(InvalidInputError, match="gram matrix must be nonempty"):
+            Lattice(())
 
     @pytest.mark.parametrize("bad", [2.5, 2.0, Fraction(1, 2), Fraction(2), "1"])
     def test_non_integer_gram_is_rejected(self, bad):

@@ -1,5 +1,7 @@
 """Smoke runs of the example scripts, which use the public API end to end."""
 
+import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -42,3 +44,52 @@ def test_count_lines(tmp_path):
         '    x = (1,\n         2)  # trailing\n    return x\n')
     assert _run(SCRIPTS / "count_lines.py", tmp_path) == (
         "     4  m.py\n     4  total\n")
+
+
+# a perfbench/run.py that logs its tree and argv, then prints a result line
+# whose ops_per_s is the tree's RATE
+STUB_RUN = """\
+import json, sys
+from pathlib import Path
+tree = Path.cwd()
+with open(tree.parent / "calls.log", "a") as log:
+    print(tree.name, *sys.argv[1:], file=log)
+print("progress")
+print(json.dumps({"correct": True, "attempted": 5, "failed": 0, "metrics": {
+    "ops_per_s": {"value": RATE}, "op_p50_ms": {"value": 4.0}}}))
+"""
+
+
+def test_bench_pairs(tmp_path):
+    bench = {"run_seconds": 7, "workloads": [{"name": "w"}], "end_to_end": [
+        {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+        {"name": "op_p50_ms", "better": "lower", "bound": 0.25}]}
+    for tree, rate in (("parent", 100), ("change", 50)):
+        (tmp_path / tree / "perfbench").mkdir(parents=True)
+        (tmp_path / tree / "BENCHMARK.json").write_text(json.dumps(bench))
+        (tmp_path / tree / "perfbench" / "run.py").write_text(
+            STUB_RUN.replace("RATE", str(rate)))
+    out = tmp_path / "pairs.json"
+    _run(SCRIPTS / "bench_pairs.py", tmp_path / "parent", tmp_path / "change",
+         "--out", out)
+    # pairs alternate which tree runs first, change first in pair 1
+    order = ["change", "parent", "parent", "change"] * 5
+    argv = "--workload w --seed 1 --seconds 7 --trace 0"
+    assert (tmp_path / "calls.log").read_text().splitlines() == [
+        f"{tree} {argv}" for tree in order]
+    report = json.loads(out.read_text())
+    assert sorted(report) == ["pairs", "run_seconds", "runs", "seed", "summary"]
+    assert [(r["workload"], r["pair"], r["tree"], r["position"])
+            for r in report["runs"]] == [
+        ("w", k // 2 + 1, tree, k % 2) for k, tree in enumerate(order)]
+    assert all(r["correct"] and r["failed"] == 0 and r["attempted"] == 5
+               for r in report["runs"])
+    ops, p50 = (report["summary"]["w"][m] for m in ("ops_per_s", "op_p50_ms"))
+    assert (ops["parent_median"], ops["change_median"], ops["change_won"],
+            ops["verdict"]) == (100, 50, 0, "regressed")
+    assert (p50["parent_iqr"], p50["change_won"], p50["verdict"]) == (0, 0, "ok")
+    # a parent spread wider than the bound leaves the comparison open
+    compare = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["compare"]
+    spread = compare([80, 100, 120, 140], [100, 100, 100, 100],
+                     {"better": "higher", "bound": 0.25})
+    assert (spread["parent_iqr"], spread["verdict"]) == (30, "unresolved")
