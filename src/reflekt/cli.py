@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 domain error (one-line JSON error object in json
 mode), 2 usage error.  JSON output is deterministic: sorted keys, fixed
 indentation, never any floating point.
+
+A JSON payload holds the library's own values: `serialize.dumps` prints
+their tuples as arrays, so no handler copies them.  A reflectivity verdict
+prints its status and the evidence fields that are not empty or None.
 """
 
 from __future__ import annotations
@@ -58,9 +62,9 @@ def _cmd_lattice_info(args):
     disc = lat.discriminant()
     sig = lat.signature()
     payload = {
-        "signature": list(sig),
+        "signature": sig,
         "det": lat.determinant(),
-        "disc_factors": list(disc.invariant_factors),
+        "disc_factors": disc.invariant_factors,
         "exponent": disc.exponent,
         "unscaled": lat.is_unscaled(),
     }
@@ -68,7 +72,7 @@ def _cmd_lattice_info(args):
         f"rank: {lat.rank}",
         f"signature: ({sig[0]}, {sig[1]})",
         f"det: {payload['det']}",
-        f"discriminant factors: {payload['disc_factors']}",
+        f"discriminant factors: {list(disc.invariant_factors)}",
         f"exponent: {disc.exponent}",
         f"unscaled: {str(payload['unscaled']).lower()}",
     ])
@@ -79,8 +83,7 @@ def _cmd_lattice_complement(args):
     lat = serialize.load_lattice(args.file)
     sub = Sublattice(lat, tuple(args.sub))
     comp = sub.orthogonal_complement()
-    payload = {"basis": [list(r) for r in comp.basis],
-               "gram": [list(r) for r in comp.gram_matrix()]}
+    payload = {"basis": comp.basis, "gram": comp.gram_matrix()}
     _emit(args, payload, _rows_text(comp.basis))
 
 
@@ -88,8 +91,7 @@ def _cmd_lattice_saturate(args):
     lat = serialize.load_lattice(args.file)
     sub = Sublattice(lat, tuple(args.sub))
     sat = sub.saturate()
-    payload = {"basis": [list(r) for r in sat.basis],
-               "index": sub.index_in(sat)}
+    payload = {"basis": sat.basis, "index": sub.index_in(sat)}
     _emit(args, payload, _rows_text(sat.basis))
 
 
@@ -104,8 +106,7 @@ def _cmd_lattice_index(args):
 def _cmd_lattice_norm_vectors(args):
     lat = serialize.load_lattice(args.file)
     vs = lat.enumerate_norm_vectors(args.n, args.box)
-    payload = {"vectors": [list(v) for v in vs]}
-    _emit(args, payload, _rows_text(vs))
+    _emit(args, {"vectors": vs}, _rows_text(vs))
 
 
 def _cmd_binary_represents(args):
@@ -122,29 +123,26 @@ def _cmd_binary_mu(args):
 
 def _cmd_binary_cf(args):
     cf = binary.cf_sqrt(args.d)
-    payload = {"d": cf.d, "a0": cf.a0, "period": list(cf.period),
-               "q_sequence": list(cf.q_sequence)}
     text = f"sqrt({cf.d}) = [{cf.a0}; {', '.join(str(a) for a in cf.period)}]"
-    _emit(args, payload, text)
+    _emit(args, vars(cf), text)
 
 
 def _cmd_binary_pell(args):
     s = binary.pell_fundamental(args.d)
-    _emit(args, {"d": s.d, "x": s.x, "y": s.y}, f"{s.x},{s.y}")
+    _emit(args, vars(s), f"{s.x},{s.y}")
 
 
 def _cmd_binary_roots(args):
     f = _form_from_args(args)
     rts = binary.binary_roots(f)
-    payload = {"roots": [{"norm": m, "vector": list(v)} for m, v in rts]}
+    payload = {"roots": [{"norm": m, "vector": v} for m, v in rts]}
     text = "\n".join(f"{m}: {v[0]},{v[1]}" for m, v in rts) or "(none)"
     _emit(args, payload, text)
 
 
 def _cmd_binary_isometry(args):
     m = binary.fundamental_automorph(binary.BinaryForm.from_d(args.d))
-    payload = {"matrix": [list(r) for r in m]}
-    _emit(args, payload, _rows_text(m))
+    _emit(args, {"matrix": m}, _rows_text(m))
 
 
 def _cmd_roots_check(args):
@@ -156,30 +154,15 @@ def _cmd_roots_check(args):
 def _cmd_roots_find(args):
     lat = serialize.load_lattice(args.file)
     found = roots.find_roots_in_box(lat, args.box)
-    payload = {"roots": [{"vector": list(v), "norm": lat.norm(v)} for v in found]}
+    payload = {"roots": [{"vector": v, "norm": lat.norm(v)} for v in found]}
     _emit(args, payload, _rows_text(found) or "(none)")
-
-
-def _verdict_payload(verdict: roots.ReflectivityVerdict) -> dict:
-    ev = verdict.evidence
-    payload = {"status": verdict.status, "evidence": {"reason": ev.reason}}
-    if ev.roots:
-        payload["evidence"]["roots"] = [list(v) for v in ev.roots]
-    if ev.root_norms:
-        payload["evidence"]["root_norms"] = list(ev.root_norms)
-    if ev.candidate_norms is not None:
-        payload["evidence"]["candidate_norms"] = list(ev.candidate_norms)
-    if ev.isometry is not None:
-        payload["evidence"]["isometry"] = [list(r) for r in ev.isometry]
-    if ev.budget is not None:
-        payload["evidence"]["budget"] = ev.budget
-    return payload
 
 
 def _cmd_roots_reflectivity(args):
     lat = serialize.load_lattice(args.file)
     verdict = roots.reflectivity_indicator(lat, budget=args.budget)
-    _emit(args, _verdict_payload(verdict), verdict.status)
+    evidence = {k: v for k, v in vars(verdict.evidence).items() if v not in ((), None)}
+    _emit(args, {"status": verdict.status, "evidence": evidence}, verdict.status)
 
 
 def _cmd_construct_avoid_roots(args):

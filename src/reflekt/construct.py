@@ -140,9 +140,7 @@ def validate_avoid_roots(cert: AvoidRootsCertificate) -> list[str]:
         out.append(f"prime list must cover k = 1..{cert.n}")
     if len(set(ps)) != len(ps):
         out.append("primes are not distinct")
-    prod = 1
     for k, p in cert.primes:
-        prod *= p
         in_range = 0 < p < DETERMINISTIC_PRIMALITY_BOUND
         prime = in_range and is_prime(p)
         if not prime:
@@ -157,7 +155,7 @@ def validate_avoid_roots(cert: AvoidRootsCertificate) -> list[str]:
         # the direct contract, independent of the symbol machinery
         if not is_nonresidue(-k, p):
             out.append(f"direct check found x with x^2 = -{k} mod {p}")
-    if prod != cert.a:
+    if prod(ps) != cert.a:
         out.append(f"a = {cert.a} is not the product of the primes")
     ab = cert.a * cert.b
     if binary.is_square(ab):
@@ -599,8 +597,7 @@ def nv_complements(lat: Lattice, d: int, box: int) -> tuple[NvComplementEntry, .
     if d <= 0:
         raise InvalidInputError(f"d must be positive, got {d}")
     lat.check_prefix_budget(box)
-    entries = []
-    fingerprints = []
+    entries, classes = [], {}
     for h in lat.enumerate_norm_vectors(d, box):
         comp = Sublattice(lat, (h,)).orthogonal_complement()
         gram = comp.gram_matrix()
@@ -608,14 +605,9 @@ def nv_complements(lat: Lattice, d: int, box: int) -> tuple[NvComplementEntry, .
         disc = comp_lat.discriminant()
         fp = (comp.rank, comp_lat.determinant(), disc.invariant_factors,
               comp_lat.signature())
-        if fp in fingerprints:
-            cls = fingerprints.index(fp)
-        else:
-            cls = len(fingerprints)
-            fingerprints.append(fp)
         entries.append(NvComplementEntry(
             h=h, basis=comp.basis, gram=gram, fingerprint=fp,
-            fingerprint_class=cls))
+            fingerprint_class=classes.setdefault(fp, len(classes))))
     return tuple(entries)
 
 

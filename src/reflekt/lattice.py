@@ -78,12 +78,11 @@ class Lattice:
         return len(self.gram)
 
     def _check_vector(self, v):
-        if not hasattr(v, "__len__"):
-            v = intlinalg.int_vector(v)
+        v = intlinalg.int_vector(v)
         if len(v) != self.rank:
             raise InvalidInputError(
                 f"vector length {len(v)} does not match rank {self.rank}")
-        return intlinalg.int_vector(v)
+        return v
 
     def evaluate(self, u, v) -> int:
         """The bilinear pairing (u, v)."""
@@ -94,7 +93,8 @@ class Lattice:
 
     def norm(self, v) -> int:
         """q(v) = (v, v)."""
-        return self.evaluate(v, v)
+        v = self._check_vector(v)
+        return sum(map(mul, v, intlinalg.mat_vec(self.gram, v)))
 
     def determinant(self) -> int:
         """det(gram), computed once, by the check for singularity."""

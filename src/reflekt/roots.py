@@ -45,10 +45,10 @@ def is_root(lat: Lattice, v) -> bool:
 
 def reflect(lat: Lattice, v, u):
     """Image of u under the reflection in the root v; always integral."""
-    if not is_root(lat, v):
-        raise NotARootError(f"{tuple(v)} is not a root of this lattice")
-    u = lat._check_vector(u)
     v = lat._check_vector(v)
+    if not is_root(lat, v):
+        raise NotARootError(f"{v} is not a root of this lattice")
+    u = lat._check_vector(u)
     q = lat.norm(v)
     p = lat.evaluate(u, v)
     # q divides 2 div(v), and (u, v) is a multiple of div(v)

@@ -60,6 +60,12 @@ CASES = (
      J + ("roots", "reflectivity", "inputs/nonrefl.json")),
     ("roots_reflectivity_rank3_text", 0,
      ("roots", "reflectivity", "inputs/u_m2.json", "--budget", "2")),
+    ("roots_reflectivity_definite_json", 0,
+     J + ("roots", "reflectivity", "inputs/definite.json")),
+    ("roots_reflectivity_isotropic_rootless_json", 0,
+     J + ("roots", "reflectivity", "inputs/isotropic_rootless.json")),
+    ("roots_reflectivity_rank3_json", 0,
+     J + ("roots", "reflectivity", "inputs/u_m2.json", "--budget", "2")),
     ("construct_avoid_roots_json", 0, J + ("construct", "avoid-roots", "-n", "3", "-b", "2")),
     ("construct_avoid_roots_text", 0, ("construct", "avoid-roots", "-n", "2", "-b", "1")),
     ("construct_avoid_roots_n40_json", 0,

@@ -90,6 +90,10 @@ class TestLatticeBasics:
         assert diag(1, -8).evaluate((2, 1), (2, 1)) == -4
         assert diag(1, -8).evaluate((0, 0), (3, 5)) == 0
         assert U.evaluate((1, 0), (0, 1)) == 1
+        # a vector is read once, so a one-shot iterator is accepted as well
+        assert diag(1, -8).norm(iter([1, 1])) == -7
+        assert diag(1, -8).evaluate(iter([2, 1]), iter([2, 1])) == -4
+        assert diag(1, -8).divisibility(iter([0, 1])) == 8
 
     def test_evaluate_symmetric(self):
         lat = Lattice(((2, 1), (1, -4)))

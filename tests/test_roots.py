@@ -43,10 +43,12 @@ class TestReflect:
         assert rt.reflect(lat, (2, 1), (1, 0)) == (3, 1)
         assert rt.reflect(lat, (2, 1), (0, 1)) == (-8, -3)
         assert rt.reflect(lat, (2, 1), (2, 1)) == (-2, -1)
+        assert rt.reflect(lat, iter([0, 1]), (1, 1)) == (1, -1)
+        assert rt.is_root(lat, iter([0, 1])) is True
 
     def test_rejects_non_root(self):
-        with pytest.raises(NotARootError):
-            rt.reflect(diag(1, -7), (2, 1), (1, 0))
+        with pytest.raises(NotARootError, match=r"^\(2, 1\) is not a root"):
+            rt.reflect(diag(1, -7), [2, 1], (1, 0))
 
     def test_involution_preserves_norm(self, battery12):
         for lat in battery12:

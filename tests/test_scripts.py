@@ -1,5 +1,6 @@
 """Smoke runs of the example scripts, which use the public API end to end."""
 
+import hashlib
 import json
 import runpy
 import subprocess
@@ -46,14 +47,19 @@ def test_count_lines(tmp_path):
         "     4  m.py\n     4  total\n")
 
 
-# a perfbench/run.py that logs its tree and argv, then prints a result line
-# whose ops_per_s is the tree's RATE
+# a perfbench/run.py that logs its tree and argv, prints a first-pass digest
+# line for its workload (except for workload v in the change tree), then a
+# result line whose ops_per_s is the tree's RATE
 STUB_RUN = """\
-import json, sys
+import hashlib, json, sys
 from pathlib import Path
 tree = Path.cwd()
 with open(tree.parent / "calls.log", "a") as log:
     print(tree.name, *sys.argv[1:], file=log)
+workload = sys.argv[2]
+if tree.name == "parent" or workload == "w":
+    digest = hashlib.sha256(workload.encode()).hexdigest()
+    print(f"first pass: sha256 {digest}, failed ops []")
 print("progress")
 print(json.dumps({"correct": True, "attempted": 5, "failed": 0, "metrics": {
     "ops_per_s": {"value": RATE}, "op_p50_ms": {"value": 4.0}}}))
@@ -61,9 +67,10 @@ print(json.dumps({"correct": True, "attempted": 5, "failed": 0, "metrics": {
 
 
 def test_bench_pairs(tmp_path):
-    bench = {"run_seconds": 7, "workloads": [{"name": "w"}], "end_to_end": [
-        {"name": "ops_per_s", "better": "higher", "bound": 0.25},
-        {"name": "op_p50_ms", "better": "lower", "bound": 0.25}]}
+    end_to_end = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
+                  {"name": "op_p50_ms", "better": "lower", "bound": 0.25}]
+    bench = {"run_seconds": 7, "workloads": [{"name": "w"}, {"name": "v"}],
+             "end_to_end": end_to_end}
     for tree, rate in (("parent", 100), ("change", 50)):
         (tmp_path / tree / "perfbench").mkdir(parents=True)
         (tmp_path / tree / "BENCHMARK.json").write_text(json.dumps(bench))
@@ -74,16 +81,22 @@ def test_bench_pairs(tmp_path):
          "--out", out)
     # pairs alternate which tree runs first, change first in pair 1
     order = ["change", "parent", "parent", "change"] * 5
-    argv = "--workload w --seed 1 --seconds 7 --trace 0"
     assert (tmp_path / "calls.log").read_text().splitlines() == [
-        f"{tree} {argv}" for tree in order]
+        f"{tree} --workload {w} --seed 1 --seconds 7 --trace 0"
+        for w in "wv" for tree in order]
     report = json.loads(out.read_text())
     assert sorted(report) == ["pairs", "run_seconds", "runs", "seed", "summary"]
     assert [(r["workload"], r["pair"], r["tree"], r["position"])
             for r in report["runs"]] == [
-        ("w", k // 2 + 1, tree, k % 2) for k, tree in enumerate(order)]
+        (w, k // 2 + 1, tree, k % 2) for w in "wv" for k, tree in enumerate(order)]
     assert all(r["correct"] and r["failed"] == 0 and r["attempted"] == 5
                for r in report["runs"])
+    # w printed one digest in every run; v printed none in the change tree
+    digest = {w: hashlib.sha256(w.encode()).hexdigest() for w in "wv"}
+    assert [r["digest"] for r in report["runs"]] == [
+        None if (w, tree) == ("v", "change") else digest[w]
+        for w in "wv" for tree in order]
+    assert [report["summary"][w]["same_outputs"] for w in "wv"] == [True, False]
     ops, p50 = (report["summary"]["w"][m] for m in ("ops_per_s", "op_p50_ms"))
     assert (ops["parent_median"], ops["change_median"], ops["change_won"],
             ops["verdict"]) == (100, 50, 0, "regressed")
