@@ -11,10 +11,11 @@ primitively represented iff one of them reduces into the cycle of f; the
 reducing matrices turn the first such class into a witness.
 
 One walk, `_walk`, steps every cycle of reduced forms.  The continued
-fraction of sqrt(d) and the Pell unit are read off half the cycle of the
-principal form (1, 2 a0, a0^2 - d), which is its own mirror image
-(`_principal_half`).  Every product of rho steps, a Pell unit's or a
-witness's, is taken by `_step_product`, in chunks and a balanced tree.
+fraction of sqrt(d) and the Pell unit, from which `fundamental_automorph`
+builds f's automorph, are read off half the cycle of the principal form
+(1, 2 a0, a0^2 - d), which is its own mirror image (`_principal_half`).
+Every product of rho steps, a Pell unit's or a witness's, is taken by
+`_step_product`, in chunks and a balanced tree.
 
 Each public call reduces f once, by `_reduce`, to its reduced start form,
 and each question has one memo, a `functools.lru_cache` of the 64 most
@@ -26,11 +27,14 @@ once and keep it as a record, by `_cycle`: D and isqrt(D), the position of
 every form in rho order, the set of leading coefficients, and the t of
 every rho step, whose matrix is ((0, -1), (1, t)).  Both cycle tests are
 then lookups, and a witness multiplies the stored steps from f's reduced
-form to its class's instead of walking the cycle again.  `binary_roots`
-reads even those products from `_root_classes`, once per start form, and
-the divisors of 2e from `_twice_e_divisors`; each call still checks its
-own witnesses.  The Pell unit of d is computed once while `_pell_unit`
-holds it, and each `pell_fundamental` call checks d and its PellSolution.
+form to its class's instead of walking the cycle again.  The record's edge
+centres, the steps that keep b, are found with one lookup (`_centres`).
+`binary_roots` reads its root norms off them and the matrix of each root
+class from `_root_classes`, once per start form; each call still checks
+its own witnesses.  Only a square D takes the divisors of 2e, from
+`_twice_e_divisors`.  The Pell unit of d is computed once while
+`_pell_unit` holds it, and each `pell_fundamental` call checks d and its
+PellSolution.
 mu is the largest negative leading coefficient of the cycle (the proof is
 in `mu`).
 `_mu_walk` streams the cycle in O(1) memory and keeps the answer; it stops
@@ -45,8 +49,9 @@ prime power (a least nonresidue is found only when Tonelli-Shanks has to
 loop, never for p = 3 mod 4), and CRT work in proportion to the number of
 roots, where a scan of all residues would cost |m|.
 `binary_roots` needs none of them: only the classes with b = 0 mod |m|
-hold roots (the lemma is in its docstring), b = 0 and b = |m|, one
-congruence test each.
+hold roots, b = 0 and b = |m|, one congruence test each, and only the
+norms read off the edge centres have them (the lemmas are in its
+docstring).
 
 Square discriminants are handled by factoring the product of the two
 linear forms.  Imprimitive representations of n are primitive ones of
@@ -58,6 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import gcd, isqrt
 
 from . import lattice as lattice_mod
@@ -721,22 +727,40 @@ def _twice_e_divisors(e: int):
     return divisors(2 * e)
 
 
+def _centres(start, pos):
+    """(i, i + L/2), the edge centres of the cycle of L forms through start
+    whose record has positions pos, with 0 <= i < L/2, or () when it has
+    none.  sigma(start) lies in the cycle at 2i + 1 for a centre i, and only
+    then (the proof is in `binary_roots`): one lookup."""
+    j = pos.get(start[::-1])
+    if j is None:
+        return ()
+    return j // 2, j // 2 + len(pos) // 2
+
+
 @lru_cache(maxsize=_RECORD_SLOTS)
 def _root_classes(start):
     """The root classes of the forms of even b whose reduced form is start:
-    (m, w) for each norm m that has one, in decreasing m, where w is the
+    (m, w) for each root norm m, in decreasing m, where w is the
     `_class_matrix` of the first class that `_first_class` finds among
-    b in {0, |m|}.  The norms tried are -d for d in `_twice_e_divisors(e)`,
-    and e = (D/4) / content is fixed by start."""
-    a, b, c = start
+    b in {0, |m|}.  The norms are read off the edge centres of start's
+    cycle record, by the lemma in `binary_roots`: one for each of the two
+    centres (a, b, c), c if c < 0 and otherwise -D/(4c) for an even b/c,
+    the t of the step, and -D/c for an odd one.  A cycle with no centre has
+    no root class, and no divisor of 2e is tried."""
     rec = _cycle(start)
-    disc, *_ = rec
+    disc, _, pos, _, steps = rec
+    norms = set()
+    for i in _centres(start, pos):
+        _, _, c = next(islice(pos, i, None))
+        norms.add(c if c < 0 else -(disc // (4 * c if steps[i] % 2 == 0 else c)))
     out = []
-    for d in _twice_e_divisors(_gram_exponent(a, b // 2, c)):
-        cls = _first_class(rec, -d, (r for r in (0, d)
-                                     if (r * r - disc) % (4 * d) == 0))
-        if cls is not None:
-            out.append((-d, _class_matrix(rec, *cls)))
+    for m in sorted(norms, reverse=True):
+        cls = _first_class(rec, m, (r for r in (0, -m)
+                                    if (r * r - disc) % (-4 * m) == 0))
+        if cls is None:
+            raise InternalCheckError(f"the root norm {m} of {start} has no class")
+        out.append((m, _class_matrix(rec, *cls)))
     return tuple(out)
 
 
@@ -746,9 +770,12 @@ def binary_roots(f: BinaryForm):
     Root norms divide twice the exponent of the discriminant group, which
     makes the candidate set finite; within a norm, the root condition
     m | 2 div(v) is invariant under the orthogonal group, so one test per
-    representation class decides it.
+    representation class decides it.  A square D tries each divisor d of 2e,
+    from `_twice_e_divisors`, on the sorted solutions of f = -d.  A
+    non-square D tries no divisor: the norms come from the edge centres of
+    f's cycle, by the second lemma.
 
-    Lemma: only the classes with b = 0 mod |m| hold roots.  Let M be
+    Lemma 1: only the classes with b = 0 mod |m| hold roots.  Let M be
     unimodular with first column v and f∘M = (m, b, c).  The pairings of v
     with the basis M are (m, b/2), so div(v) = gcd(m, b/2), and v is a root
     iff m | 2 gcd(m, b/2), that is, iff m | b.  The class fixes b modulo
@@ -758,13 +785,56 @@ def binary_roots(f: BinaryForm):
     b, whose form reduces into f's cycle, which is the first class that
     passes the root test.
 
-    The class search depends on f's cycle alone, so `_root_classes` keeps,
-    for the 64 most recently used reduced start forms, the matrix of each
-    root class from the start, and the divisors of 2e come from
-    `_twice_e_divisors`.  Each call reduces f once, to start by p, and for
-    each root class checks that the first column v of p w solves f = m
-    primitively, re-checks the root test on the pairings of v, and makes v
-    canonical with the automorph, computed once, at the first root.
+    Lemma 2: let D be a non-square.  f has a root iff its cycle has edge
+    centres (6 in `mu`), and its root norms are those read at the two
+    centres: at a centre (a, b, c) -> (c, b, a), the norm c when c < 0, and
+    otherwise -D/(4c) when b/c is even and -D/c when b/c is odd.
+
+    Proof.  Let g_0, ..., g_(L-1) be the cycle, sigma(a, b, c) = (c, b, a),
+    and Aut+ the proper automorphs, +-<A> for a generator A.
+    1. A root class (m, 0, c) or (m, |m|, c) has m | b, so it is properly
+       equivalent to (m, -b, c), its inverse: the class is ambiguous.
+       sigma(g) = (a, -b, c)∘((0, 1), (-1, 0)) is then reduced (4 in `mu`)
+       and in g's class, whose reduced forms make up one cycle (Buchmann
+       and Vollmer): sigma(g_0) = g_j for some j.
+    2. rho carries sigma(rho(g)) to sigma(g) (5 in `mu`), so sigma(g_k) =
+       g_(j-k) for every k, indices mod L.  j is odd, since sigma(g_(j/2))
+       = g_(j/2) would need a = c, which ac < 0 rules out.  So the step
+       i = (j-1)/2 is a centre, and conversely a centre i gives j = 2i + 1:
+       sigma(g_0) lies in the cycle iff the cycle has a centre, and the
+       centres are i and i + L/2 (6 in `mu`), the two steps the mirror
+       k -> 2i - k fixes; it fixes no form.  A cycle with no centre
+       therefore has no root class, and `binary_roots` returns () with no
+       class search.
+    3. At a centre g = (a, b, c), t = b/c.  The second basis vector e of g
+       has norm c and pairings (b/2, c), and c divides 2(b/2) and 2c, so
+       the reflection s in e is integral.  If c < 0, e is a negative root
+       of norm c.  Otherwise e's orthogonal line is spanned by the
+       primitive w = (2c, -b)/gcd(2c, b), of norm -cD/gcd(2c, b)^2, that is
+       -D/(4c) when t is even and -D/c when t is odd; -s is the reflection
+       in w, so w is a negative root.
+    4. The two centres give both orbits.  The improper automorphs of f are
+       s Aut+, and each is an involution, since s R s = R^-1 for R in Aut+
+       (R fixes f's two asymptotes, s swaps them).  An involution rho of
+       s Aut+ is the reflection in its -1-eigenvector, which is then a
+       root, and -rho that in the orthogonal one, so the negative root
+       lines are those of one of each pair +-rho.  Conjugation by A^k maps
+       s A^n to s A^(n-2k): the negative root lines make two Aut+-orbits,
+       from n even and n odd.  The reflection at a centre i mirrors the
+       cycle about that step, g_(i-k) <-> g_(i+1+k) by 2, so the product of
+       those at i and i + L/2, half a turn apart, moves the cycle on by one
+       turn: it is +-A^(+-1), an odd power, and the two centres give the
+       two orbits.  So the norms read at the centres are all the root
+       norms, and each has a root class.
+
+    For a non-square D the class search depends on f's cycle alone, so
+    `_root_classes` keeps, for the 64 most recently used reduced start
+    forms, the matrix of each root class from the start, for each norm the
+    first class in b in {0, |m|} that `_first_class` finds.  Each call
+    reduces f once, to start by p, and for each root class checks that the
+    first column v of p w solves f = m primitively, re-checks the root test
+    on the pairings of v, and makes v canonical with the automorph,
+    computed once, at the first root.
     """
     a, h, c, disc = f.a, f._half_b(), f.c, f.disc
 

@@ -212,7 +212,12 @@ def hermite_row_basis(mat) -> IntMatrix:
     rows dropped.  The HNF is the unique canonical basis of the span, so
     any two bases of the same lattice map to identical output.
     """
-    rows = list(freeze(mat))
+    return _hermite(freeze(mat))
+
+
+def _hermite(rows) -> IntMatrix:
+    """`hermite_row_basis` of rows that `freeze` has already checked."""
+    rows = list(rows)
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     top = 0
@@ -253,7 +258,7 @@ def kernel(mat) -> IntMatrix:
     m = len(mat)
     cols = len(mat[0]) if m else 0
     aug = tuple(col + e for col, e in zip(transpose(mat), identity(cols)))
-    return tuple(row[m:] for row in hermite_row_basis(aug) if not any(row[:m]))
+    return tuple(row[m:] for row in _hermite(aug) if not any(row[:m]))
 
 
 def row_saturation(mat) -> IntMatrix:

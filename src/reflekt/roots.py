@@ -16,7 +16,7 @@ from math import gcd
 from operator import mul
 from typing import Optional
 
-from . import binary
+from . import binary, intlinalg
 from .arith import int_vector
 from .errors import InternalCheckError, InvalidInputError, NotARootError
 from .lattice import Lattice
@@ -26,33 +26,41 @@ NON_REFLECTIVE = "non_reflective"
 UNKNOWN = "unknown"
 
 
-def is_root(lat: Lattice, v) -> bool:
-    """True iff q(v) divides 2(u, v) for every basis vector u.
-
-    v must be a primitive lattice vector with q(v) != 0.
-    """
+def _candidate(lat: Lattice, v):
+    """(v, q(v), G v) for a candidate root v, checked in the order of
+    `is_root`: a vector of the lattice's rank, nonzero, primitive and not
+    isotropic.  q(v) = v . Gv, div(v) = gcd(Gv) and (u, v) = u . Gv, so one
+    product G v serves the root test and the reflection."""
     v = lat._check_vector(v)
     g = gcd(*v)
     if g == 0:
         raise InvalidInputError("the zero vector is not a candidate root")
     if g != 1:
         raise InvalidInputError(f"candidate root {v} is imprimitive (content {g})")
-    q = lat.norm(v)
+    gv = intlinalg.mat_vec(lat.gram, v)
+    q = sum(map(mul, v, gv))
     if q == 0:
         raise InvalidInputError(f"candidate root {v} is isotropic")
-    return 2 * lat.divisibility(v) % q == 0
+    return v, q, gv
+
+
+def is_root(lat: Lattice, v) -> bool:
+    """True iff q(v) divides 2(u, v) for every basis vector u.
+
+    v must be a primitive lattice vector with q(v) != 0.
+    """
+    _, q, gv = _candidate(lat, v)
+    return 2 * gcd(*gv) % q == 0
 
 
 def reflect(lat: Lattice, v, u):
     """Image of u under the reflection in the root v; always integral."""
-    v = lat._check_vector(v)
-    if not is_root(lat, v):
+    v, q, gv = _candidate(lat, v)
+    if 2 * gcd(*gv) % q:
         raise NotARootError(f"{v} is not a root of this lattice")
     u = lat._check_vector(u)
-    q = lat.norm(v)
-    p = lat.evaluate(u, v)
     # q divides 2 div(v), and (u, v) is a multiple of div(v)
-    factor = 2 * p // q
+    factor = 2 * sum(map(mul, u, gv)) // q
     return tuple(ui - factor * vi for ui, vi in zip(u, v))
 
 
@@ -61,7 +69,8 @@ def root_norm_candidates(lat: Lattice) -> tuple[int, ...]:
     by the lemma in `find_roots_in_box` (q divides 2e).  At rank 2, e has a
     closed form (`binary._gram_exponent`), so no Hermite pass runs.  The
     divisors come from `binary._twice_e_divisors`, which `binary_roots`
-    reads too, so a rank-2 verdict factorises 2e once."""
+    reads only for a square D, so a rank-2 verdict factorises 2e once, for
+    its candidate norms."""
     g = lat.gram
     e = (binary._gram_exponent(g[0][0], g[0][1], g[1][1]) if lat.rank == 2
          else lat.discriminant().exponent)

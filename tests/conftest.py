@@ -573,20 +573,32 @@ def canonical_witness_oracle(auto, v):
     return max(cands | {(-x, -y) for x, y in cands})
 
 
+def automorph_oracle(f):
+    """fundamental_automorph from the test-side Pell unit, with no library
+    call: ((t - b u)/2, -c u; a u, (t + b u)/2) with
+    (t, u) = (2x, y) for the `pell_oracle` unit (x, y) of D/4 when b is
+    even, and (2x, 2y) for that of D when b is odd."""
+    a, b, c = f.a, f.b, f.c
+    even = b % 2 == 0
+    x, y = pell_oracle(f.disc // 4 if even else f.disc)
+    t, u = 2 * x, (y if even else 2 * y)
+    return (((t - b * u) // 2, -c * u), (a * u, (t + b * u) // 2))
+
+
 def binary_roots_oracle(f):
     """binary_roots by the algorithm the library used before it tested only
     the classes b = 0 mod |m|: for every divisor d of 2e (by a scan), the
     witness of every class from `witness_walk_oracle` over all square roots
     (the sorted primitive solutions for a square D), the divisibility test on
     each, and the first class that passes, made canonical by
-    `canonical_witness_oracle`.  e comes from the Hermite route,
-    Lattice.discriminant."""
+    `canonical_witness_oracle` with `automorph_oracle`.  e comes from the
+    Hermite route, Lattice.discriminant."""
     from reflekt import binary as b
 
     a, h, c = f.a, f.b // 2, f.c
     two_e = 2 * f.gram_lattice().discriminant().exponent
     square = b.is_square(f.disc)
-    auto = None if square else b.fundamental_automorph(f)
+    auto = None if square else automorph_oracle(f)
     out = []
     for d in range(1, two_e + 1):
         if two_e % d:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (_is_reduced, _reduce_oracle, _rho, binary_memos,
-                      binary_roots_oracle, brute_values,
+from conftest import (_is_reduced, _reduce_oracle, _rho, automorph_oracle,
+                      binary_memos, binary_roots_oracle, brute_values,
                       canonical_witness_oracle, cf_oracle, class_walk_oracle,
                       cycle_oracle, gram_divisibility_oracle, mu_oracle,
                       pell_oracle, pell_sequential_oracle, primitive_oracle,
@@ -257,6 +257,19 @@ class TestPell:
             assert b.fundamental_automorph(b.BinaryForm(*t)) == two_branch(*t), t
             odd += t[1] % 2
         assert odd >= 100, odd
+
+    @given(indefinite_forms(12), st.integers(1, 50))
+    @example((1, 0, -7), 1)
+    @example((1, 1, -1), 49)
+    @example((2, 3, -5), 50)
+    @example((1, 1, -1), 9973)
+    @settings(max_examples=200, deadline=None)
+    def test_automorph_matches_the_pell_oracle(self, t, g):
+        # odd and even b, contents 1-50 and 9973: the library's automorph
+        # equals the one built from the test-side Pell unit
+        f = b.BinaryForm(*(g * x for x in t))
+        if b.is_anisotropic(f):
+            assert b.fundamental_automorph(f) == automorph_oracle(f), (t, g)
 
 
 class TestRepresents:
@@ -1103,9 +1116,10 @@ class TestBinaryRoots:
         assert seen == {True, False}
 
     def test_no_square_roots_and_one_automorph(self, monkeypatch):
-        # on a non-square D the root classes b in {0, |m|} need one
-        # congruence test each: no square roots mod 4|m|, no factorisation,
-        # and one automorph however many roots there are
+        # on a non-square D the root norms come from the edge centres of f's
+        # cycle, and each root class b in {0, |m|} needs one congruence
+        # test: no square roots mod 4|m|, no factorisation and no divisors
+        # of 2e, and one automorph however many roots there are
         import random
         rng = random.Random(12)
         forms = [(1, 0, -d) for d in range(2, 120) if not b.is_square(d)]
@@ -1119,13 +1133,13 @@ class TestBinaryRoots:
             return automorph(f)
 
         def forbidden(*args):
-            raise AssertionError("binary_roots ran a square-root class search")
+            raise AssertionError("a class search or a divisor list was reached")
 
         many = 0
         for t in forms:
             calls.clear()
             with monkeypatch.context() as mp:
-                for name in ("_sqrt_classes_mod", "factorize"):
+                for name in ("_sqrt_classes_mod", "factorize", "divisors"):
                     mp.setattr(b, name, forbidden)
                 mp.setattr(b, "fundamental_automorph", counted)
                 got = b.binary_roots(b.BinaryForm(*t))
@@ -1133,6 +1147,60 @@ class TestBinaryRoots:
             assert len(calls) == (1 if got else 0), t
             many += len(got) >= 2
         assert many >= 50, many
+
+    @given(even_middle_forms(20), st.integers(1, 12))
+    @example((3, 8, -7), 1)
+    @example((3, 2, -12), 5)
+    @example((1, 0, -8), 12)
+    @example((0, 2, 0), 3)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_oracle_over_contents(self, t, g):
+        # (3, 8, -7) and (3, 2, -12) have cycles with no edge centre
+        f = b.BinaryForm(*(g * x for x in t))
+        assert b.binary_roots(f) == binary_roots_oracle(f), (t, g)
+
+    def test_centres_are_the_steps_that_keep_b(self):
+        # the one lookup of _centres finds exactly the steps from g to
+        # sigma(g) that a scan of the cycle finds: none, or two half a
+        # cycle apart
+        import random
+        rng = random.Random(21)
+        counts = {0: 0, 2: 0}
+        for _ in range(1000):
+            g = rng.randint(1, 12)
+            t = tuple(g * rng.randint(-30, 30) for _ in range(3))
+            disc = t[1] ** 2 - 4 * t[0] * t[2]
+            if disc <= 0 or b.is_square(disc):
+                continue
+            cycle = cycle_oracle(b.BinaryForm(*t))
+            n = len(cycle)
+            scan = [i for i, h in enumerate(cycle) if cycle[(i + 1) % n] == h[::-1]]
+            _, _, pos, _, _ = b._cycle(cycle[0])
+            assert list(b._centres(cycle[0], pos)) == scan, t
+            counts[len(scan)] += 1
+        assert min(counts.values()) >= 50, counts
+
+    def test_no_centre_no_class_search(self, monkeypatch):
+        # a cycle with no edge centre holds no root class: binary_roots
+        # answers () from the lookup alone
+        import random
+        rng = random.Random(22)
+
+        def has_centre(t):
+            cycle = cycle_oracle(b.BinaryForm(*t))
+            return any(h == g[::-1] for g, h in zip(cycle, cycle[1:] + cycle[:1]))
+
+        forms = [t for t in random_even_middle_forms(rng, 400, 30)
+                 if not has_centre(t)]
+        assert len(forms) >= 50, len(forms)
+
+        def forbidden(*args):
+            raise AssertionError("binary_roots searched a class")
+
+        monkeypatch.setattr(b, "_first_class", forbidden)
+        for t in forms:
+            assert b.binary_roots(b.BinaryForm(*t)) == () == \
+                binary_roots_oracle(b.BinaryForm(*t)), t
 
     @given(st.integers(-60, 60), st.integers(-60, 60), st.integers(-60, 60))
     @example(2, 0, 2)
@@ -1170,8 +1238,11 @@ class TestMemos:
         memos = [obj for obj in vars(b).values() if hasattr(obj, "cache_clear")]
         assert all(m.cache_info().currsize == 0 for m in memos)
         if phase == "fill":
+            # binary_roots reads no divisors of 2e on a non-square D:
+            # root_norm_candidates fills that memo
             f = b.BinaryForm.from_d(7)
             assert b.binary_roots(f) and b.mu(f) == -3
+            assert roots.root_norm_candidates(f.gram_lattice()) == (-1, -2, -7, -14)
             assert all(m.cache_info().currsize > 0 for m in memos)
 
     def test_forms_of_one_start_share_their_root_classes(self):

@@ -93,6 +93,27 @@ def test_kernel_annihilates_and_is_saturated(m):
     assert len(k) == len(m[0]) - la.rank(m)
 
 
+@given(rect_matrices())
+@settings(max_examples=50, deadline=None)
+def test_kernel_freezes_its_input_once(m):
+    # [mat^T | I] is built from checked integers, so the elimination reads
+    # it as it is; the basis is the Hermite form's, as before
+    calls, freeze = [], la.freeze
+
+    def counted(rows):
+        calls.append(rows)
+        return freeze(rows)
+
+    aug = [list(col) + [int(i == j) for j in range(len(m[0]))]
+           for i, col in enumerate(zip(*m))]
+    want = tuple(row[len(m):] for row in la.hermite_row_basis(aug)
+                 if not any(row[:len(m)]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(la, "freeze", counted)
+        assert la.kernel(m) == want
+    assert calls == [m]
+
+
 def test_row_saturation_examples():
     assert la.row_saturation(((2, 0),)) == ((1, 0),)
     assert la.row_saturation(((2, 2),)) == ((1, 1),)

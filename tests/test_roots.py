@@ -50,6 +50,41 @@ class TestReflect:
         with pytest.raises(NotARootError, match=r"^\(2, 1\) is not a root"):
             rt.reflect(diag(1, -7), [2, 1], (1, 0))
 
+    def test_one_gram_product_per_call(self, monkeypatch, battery12):
+        # q(v), div(v) and (u, v) are all read off one product G v
+        calls, mat_vec = [], intlinalg.mat_vec
+
+        def counted(m, v):
+            calls.append(v)
+            return mat_vec(m, v)
+
+        monkeypatch.setattr(intlinalg, "mat_vec", counted)
+        for lat in battery12:
+            for v in rt.find_roots_in_box(lat, 2):
+                calls.clear()
+                assert rt.is_root(lat, v) and len(calls) == 1
+                calls.clear()
+                assert rt.reflect(lat, v, v) == tuple(-x for x in v)
+                assert len(calls) == 1
+        calls.clear()
+        with pytest.raises(NotARootError):
+            rt.reflect(diag(1, -7), (2, 1), (1, 0))
+        assert len(calls) == 1
+
+    def test_checks_keep_their_order(self):
+        # zero, imprimitive, isotropic, then not a root; u is read last
+        lat = U
+        for v, text in (((0, 0), "the zero vector"), ((2, 4), "imprimitive"),
+                        ((1, 0), "isotropic")):
+            with pytest.raises(InvalidInputError, match=text):
+                rt.reflect(lat, v, (1, 2, 3))
+        with pytest.raises(NotARootError):
+            rt.reflect(diag(1, -7), (2, 1), (1, 2, 3))
+        with pytest.raises(InvalidInputError, match="vector length 3"):
+            rt.reflect(diag(1, -8), (2, 1), (1, 2, 3))
+        with pytest.raises(InvalidInputError, match="vector length 3"):
+            rt.is_root(lat, (1, 2, 3))
+
     def test_involution_preserves_norm(self, battery12):
         for lat in battery12:
             vectors = box_vectors_oracle(lat.gram, 2)
